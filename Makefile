@@ -1,5 +1,6 @@
 # Build/test/CI entry points. `make ci` is what the smoke pipeline runs:
-# vet + build + race-enabled tests (plus a dedicated -race pass over the
+# vet + build + race-enabled tests, the benchmark module (perfbench/)
+# included (plus a dedicated -race pass over the
 # concurrency-heavy engine and fault packages with a higher -count, the
 # paths the robustness machinery exercises hardest), a short-budget fuzz
 # pass over the arithmetic and recoding differential fuzzers, an
@@ -55,14 +56,20 @@ all: build
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module built against this repo's exported API;
+# vetting and testing it here catches an API change that would break
+# the benchmark.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 test:
 	$(GO) test ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race ./...
+	$(GO) -C perfbench test -race ./...
 
 # Focused race hunt over the retry/quarantine/breaker machinery and the
 # fault injector: repeated runs shake out interleavings a single -race

@@ -91,8 +91,8 @@ func TestTableISchedule(t *testing.T) {
 // ---------------------------------------------------------------------- E3
 
 // BenchmarkScalarMultASIC executes full scalar multiplications on the
-// cycle-accurate RTL model (the compiled execution plan, through a
-// per-benchmark executor as the serving engine runs it) and reports the
+// cycle-accurate RTL model (the compiled execution plan as a width-1
+// lane batch, through a per-benchmark executor) and reports the
 // cycle count and the modelled silicon latency at 1.2 V. ReportAllocs
 // guards the tentpole property: steady state is allocation-free.
 func BenchmarkScalarMultASIC(b *testing.B) {
@@ -103,7 +103,7 @@ func BenchmarkScalarMultASIC(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ex.ScalarMult(k); err != nil {
+		if _, _, err := ex.ScalarMultPoint(k, curve.GeneratorAffine()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -126,7 +127,8 @@ func (b *bench) fixedbase() error {
 	// library's precomputed-table path, covering the correction (even,
 	// zero) and reduction (>= N) edges.
 	tbl := curve.NewFixedBaseTable(curve.Generator())
-	m := cp.NewMachine()
+	lm := cp.NewLaneMachine(1)
+	errs := []error{nil}
 	xr, okX := cp.OutputReg("x")
 	yr, okY := cp.OutputReg("y")
 	if !okX || !okY {
@@ -139,11 +141,11 @@ func (b *bench) fixedbase() error {
 	}
 	for i, k := range vScalars {
 		rec, corrected := scalar.RecodeFixedBase(k)
-		if _, err := m.Run(rtl.RunInput{Rec: rec, Corrected: corrected}); err != nil {
-			return fmt.Errorf("validation scalar %d: %v", i, err)
+		if _, err := lm.RunLanes([]rtl.RunInput{{Rec: rec, Corrected: corrected}}, errs); err != nil || errs[0] != nil {
+			return fmt.Errorf("validation scalar %d: %v", i, errors.Join(err, errs[0]))
 		}
 		want := tbl.ScalarMult(k).Affine()
-		if !m.Reg(xr).Equal(want.X) || !m.Reg(yr).Equal(want.Y) {
+		if !lm.Reg(0, xr).Equal(want.X) || !lm.Reg(0, yr).Equal(want.Y) {
 			return fmt.Errorf("validation scalar %d: compiled comb differs from curve.FixedBaseTable", i)
 		}
 	}

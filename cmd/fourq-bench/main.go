@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/curve"
 	"repro/internal/jobshop"
 	"repro/internal/scalar"
 	"repro/internal/sched"
@@ -387,7 +388,7 @@ func (b *bench) latency() error {
 	// gate regressions against the committed baseline.
 	ex := p.NewExecutor()
 	compiledRate, err := measureRate(func() error {
-		_, _, err := ex.ScalarMult(traceScalar)
+		_, _, err := ex.ScalarMultPoint(traceScalar, curve.GeneratorAffine())
 		return err
 	})
 	if err != nil {

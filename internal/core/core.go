@@ -88,11 +88,9 @@ type Processor struct {
 	endoIn  [8]uint16
 	endoOut [2]uint16
 	fbOut   [2]uint16
-	// Machine pools for the Processor-level convenience entry points;
-	// per-worker Executors own a dedicated machine instead.
-	funcPool sync.Pool
-	endoPool sync.Pool
-	fbPool   sync.Pool
+	// execs pools Executors for the Processor-level convenience entry
+	// points; per-worker callers own an Executor instead.
+	execs sync.Pool
 }
 
 // SectionSpan reports where a trace section landed in the schedule.
@@ -228,10 +226,8 @@ func New(cfg Config) (*Processor, error) {
 		if err := resolveRegs(p.fbCompiled, nil, nil, []string{"x", "y"}, p.fbOut[:]); err != nil {
 			return nil, err
 		}
-		p.fbPool.New = func() any { return p.fbCompiled.NewMachine() }
 	}
-	p.funcPool.New = func() any { return p.funcCompiled.NewMachine() }
-	p.endoPool.New = func() any { return p.endoCompiled.NewMachine() }
+	p.execs.New = func() any { return p.NewExecutor() }
 	return p, nil
 }
 
@@ -342,50 +338,25 @@ func (p *Processor) ScalarMult(k scalar.Scalar) (curve.Affine, rtl.Stats, error)
 }
 
 // ScalarMultPoint executes [k]P on the RTL model for an arbitrary base
-// point (the program is generic: the base point is an input).
+// point (the program is generic: the base point is an input), on a
+// pooled Executor.
 func (p *Processor) ScalarMultPoint(k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
-	return p.ScalarMultPointInjected(k, base, nil)
-}
-
-// ScalarMultPointInjected executes [k]P with a fault injector attached
-// to the datapath model (see rtl.Injector and internal/fault). A nil
-// injector is the plain fault-free run. The returned error reports
-// structural hazards the corrupted run tripped; value corruption that
-// stays architecturally plausible is returned as a (possibly wrong)
-// point — classifying it is the caller's job (see ValidateAffine and
-// fault.Campaign).
-func (p *Processor) ScalarMultPointInjected(k scalar.Scalar, base curve.Affine, inj rtl.Injector) (curve.Affine, rtl.Stats, error) {
-	dec := scalar.Decompose(k)
-	rec := scalar.Recode(dec)
-	m := p.funcPool.Get().(*rtl.Machine)
-	defer p.funcPool.Put(m)
-	st, err := m.Run(rtl.RunInput{
-		Bound:     []rtl.Binding{{Reg: p.funcIn[0], Val: base.X}, {Reg: p.funcIn[1], Val: base.Y}},
-		Rec:       rec,
-		Corrected: dec.Corrected,
-		Injector:  inj,
-	})
-	if err != nil {
-		return curve.Affine{}, st, err
-	}
-	return curve.Affine{X: m.Reg(p.funcOut[0]), Y: m.Reg(p.funcOut[1])}, st, nil
+	e := p.execs.Get().(*Executor)
+	defer p.execs.Put(e)
+	return e.ScalarMultPoint(k, base)
 }
 
 // ScalarMultFixedBase executes [k]G on the fixed-base comb program
-// (Config.FixedBase must be set — see HasFixedBase). The program has no
-// external inputs: only the recoded scalar flows in.
+// (Config.FixedBase must be set — see HasFixedBase), on a pooled
+// Executor. The program has no external inputs: only the recoded scalar
+// flows in.
 func (p *Processor) ScalarMultFixedBase(k scalar.Scalar) (curve.Affine, rtl.Stats, error) {
 	if p.fbCompiled == nil {
 		return curve.Affine{}, rtl.Stats{}, fmt.Errorf("core: fixed-base program not built (Config.FixedBase)")
 	}
-	rec, corrected := scalar.RecodeFixedBase(k)
-	m := p.fbPool.Get().(*rtl.Machine)
-	defer p.fbPool.Put(m)
-	st, err := m.Run(rtl.RunInput{Rec: rec, Corrected: corrected})
-	if err != nil {
-		return curve.Affine{}, st, err
-	}
-	return curve.Affine{X: m.Reg(p.fbOut[0]), Y: m.Reg(p.fbOut[1])}, st, nil
+	e := p.execs.Get().(*Executor)
+	defer p.execs.Put(e)
+	return e.single(ProgramFixedBase, k, curve.Affine{})
 }
 
 // ScalarMultInterpreted executes [k]G on the reference cycle-by-cycle
@@ -408,10 +379,11 @@ func (p *Processor) ScalarMultInterpreted(k scalar.Scalar) (curve.Affine, rtl.St
 
 // ScalarMultEndo executes the endo-workload program: the caller-visible
 // result is identical, but step 1's points are computed by the library
-// (standing in for the endomorphism unit) and loaded as inputs.
+// (standing in for the endomorphism unit) and loaded as inputs. It runs
+// on a fresh width-1 LaneMachine: a modeling entry point, not a serving
+// path.
 func (p *Processor) ScalarMultEndo(k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
 	dec := scalar.Decompose(k)
-	rec := scalar.Recode(dec)
 	mb := curve.NewMultiBase(curve.FromAffine(base))
 	bound := make([]rtl.Binding, 8)
 	for j := 0; j < 4; j++ {
@@ -419,19 +391,22 @@ func (p *Processor) ScalarMultEndo(k scalar.Scalar, base curve.Affine) (curve.Af
 		bound[2*j] = rtl.Binding{Reg: p.endoIn[2*j], Val: a.X}
 		bound[2*j+1] = rtl.Binding{Reg: p.endoIn[2*j+1], Val: a.Y}
 	}
-	m := p.endoPool.Get().(*rtl.Machine)
-	defer p.endoPool.Put(m)
-	st, err := m.Run(rtl.RunInput{Bound: bound, Rec: rec, Corrected: dec.Corrected})
-	if err != nil {
-		return curve.Affine{}, st, err
+	lm := p.endoCompiled.NewLaneMachine(1)
+	errs := []error{nil}
+	st, err := lm.RunLanes([]rtl.RunInput{{Bound: bound, Rec: scalar.Recode(dec), Corrected: dec.Corrected}}, errs)
+	if err == nil {
+		err = errs[0]
 	}
-	return curve.Affine{X: m.Reg(p.endoOut[0]), Y: m.Reg(p.endoOut[1])}, st, nil
+	if err != nil {
+		return curve.Affine{}, rtl.Stats{}, err
+	}
+	return curve.Affine{X: lm.Reg(0, p.endoOut[0]), Y: lm.Reg(0, p.endoOut[1])}, st, nil
 }
 
-// TraceScalarMult executes [k]G bit-true on the RTL model under the
-// telemetry observer and writes the Chrome trace_event timeline of the
-// run (one complete slice per multiplier/adder issue, occupancy
-// samples; loadable in Perfetto or chrome://tracing) to w. The result
+// TraceScalarMult executes [k]G bit-true on the reference interpreter
+// under the telemetry observer and writes the Chrome trace_event
+// timeline of the run (one complete slice per multiplier/adder issue,
+// occupancy samples; loadable in Perfetto or chrome://tracing) to w. The result
 // is cross-checked against the functional library before the trace is
 // written, so a corrupted run cannot produce a plausible-looking
 // timeline. It returns the run statistics.
@@ -441,8 +416,7 @@ func (p *Processor) TraceScalarMult(k scalar.Scalar, w io.Writer) (rtl.Stats, er
 	tel := rtl.NewRunTelemetry(reg, rec, p.funcProg)
 	dec := scalar.Decompose(k)
 	g := curve.GeneratorAffine()
-	m := p.funcPool.Get().(*rtl.Machine)
-	defer p.funcPool.Put(m)
+	m := p.funcCompiled.NewInterpreter()
 	st, err := m.Run(rtl.RunInput{
 		Inputs:    map[string]fp2.Element{"P.x": g.X, "P.y": g.Y},
 		Rec:       scalar.Recode(dec),

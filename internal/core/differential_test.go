@@ -50,16 +50,16 @@ func TestDifferentialRTLvsFunctional(t *testing.T) {
 	}
 }
 
-// TestExecutorCheckedCatchesOwnOracle exercises the Executor wrapper the
-// engine's workers use: the checked path must agree with the plain path
-// and accumulate per-executor statistics.
+// TestExecutorChecked exercises the oracle-validated batch entry point
+// the engine's workers use: it must agree with the plain path and
+// accumulate per-executor statistics.
 func TestExecutorChecked(t *testing.T) {
 	p := getProcessor(t)
 	ex := p.NewExecutor()
 	g := curve.GeneratorAffine()
 	for i := uint64(1); i <= 3; i++ {
 		k := scalar.Scalar{i, i ^ 0xABCD, 0, i << 32}
-		got, _, err := ex.ScalarMultChecked(k, g)
+		got, _, err := runOne(ex, ProgramVariableBase, k, g, ValidateOracle)
 		if err != nil {
 			t.Fatalf("checked run %d: %v", i, err)
 		}

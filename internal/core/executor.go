@@ -136,43 +136,80 @@ func (c Config) CacheKey() ConfigKey {
 	}
 }
 
+// ProgramID names one of a processor's microprograms. It is the
+// request class the serving engine routes on (engine.Class is an alias),
+// so the mapping from class to program is written once, here.
+type ProgramID uint8
+
+const (
+	// ProgramVariableBase is the generic variable-base program, any base
+	// point ([k]P). The zero value.
+	ProgramVariableBase ProgramID = iota
+	// ProgramFixedBase is the fixed-base comb program for [k]G (built
+	// with Config.FixedBase). Without it, executors run the
+	// variable-base program with base G instead: same result, longer
+	// schedule.
+	ProgramFixedBase
+	numPrograms
+)
+
+// String names the program as used in logs, reports and metric names.
+func (id ProgramID) String() string {
+	if id == ProgramFixedBase {
+		return "fixedbase"
+	}
+	return "variablebase"
+}
+
 // Executor is a per-worker handle for running scalar multiplications on
-// a shared Processor. The processor's compiled program is immutable
-// after New and each Executor owns a dedicated rtl.Machine (register
-// file, pipeline value slots) plus a fixed input-binding buffer, so any
-// number of Executors may run concurrently over one Processor without
-// locking the datapath model, and a steady-state ScalarMult on the
-// fast path (no injector) performs zero heap allocations. Each worker
-// of a pool owns exactly one Executor and its (unsynchronized)
-// aggregate run statistics. An Executor is not safe for concurrent use.
+// a shared Processor. The processor's compiled programs are immutable
+// after New, and each Executor owns its lockstep lane machines
+// (register files, pipeline value slots) plus pre-bound input buffers,
+// so any number of Executors may run concurrently over one Processor
+// without locking the datapath model, and a steady-state run without an
+// injector performs zero heap allocations. Each worker of a pool owns
+// exactly one Executor and its (unsynchronized) aggregate run
+// statistics. An Executor is not safe for concurrent use.
 type Executor struct {
 	p      *Processor
-	m      *rtl.Machine
-	bound  [2]rtl.Binding
 	inj    rtl.Injector
 	runs   int
 	cycles int64
-	// fbm is the lazily-built machine for the fixed-base comb program
-	// (only when the processor carries one).
-	fbm *rtl.Machine
-	// ls is the lazily-grown lockstep lane state (ScalarMultLanes).
-	ls *laneState
-	// fbls is the lockstep lane state of the fixed-base program.
-	fbls *laneState
+	// lanes[id] is program id's lazily grown lockstep state.
+	lanes [numPrograms]laneState
+	// one is the single-lane scratch behind ScalarMultPoint.
+	one struct {
+		k    [1]scalar.Scalar
+		base [1]curve.Affine
+		out  [1]curve.Affine
+		err  [1]error
+	}
 }
 
-// NewExecutor returns an independent executor over p with its own
-// reusable datapath machine.
-func (p *Processor) NewExecutor() *Executor {
-	e := &Executor{p: p, m: p.funcCompiled.NewMachine()}
-	e.bound[0].Reg = p.funcIn[0]
-	e.bound[1].Reg = p.funcIn[1]
-	return e
+// laneState is one program's pooled execution state: pre-bound per-lane
+// input slots, grown once to the widest batch this executor has seen
+// and reused for every run after that, plus the lane machine (built at
+// that width on the next lockstep run) and the interpreter handle that
+// serves injector runs.
+type laneState struct {
+	lm *rtl.LaneMachine
+	it *rtl.Interpreter
+	// bound holds each lane's (base.X, base.Y) binding pair
+	// (variable-base only; the comb program has no external inputs).
+	// The RunInput Bound slices point into it.
+	bound [][2]rtl.Binding
+	ins   []rtl.RunInput
 }
+
+// NewExecutor returns an independent executor over p. Its lane machines
+// are built on first use.
+func (p *Processor) NewExecutor() *Executor { return &Executor{p: p} }
 
 // SetInjector attaches a datapath fault injector to every subsequent
-// run of this executor (nil detaches). The injector is confined to this
-// executor's goroutine; the shared processor is never mutated.
+// run of this executor (nil detaches). Injected runs go through the
+// reference interpreter lane by lane, so a fault lands in exactly one
+// lane. The injector is confined to this executor's goroutine; the
+// shared processor is never mutated.
 func (e *Executor) SetInjector(inj rtl.Injector) { e.inj = inj }
 
 // Runs returns the number of scalar multiplications this executor has
@@ -183,106 +220,180 @@ func (e *Executor) Runs() int { return e.runs }
 // executed.
 func (e *Executor) Cycles() int64 { return e.cycles }
 
-// ScalarMult executes [k]G bit-true on the RTL model.
-func (e *Executor) ScalarMult(k scalar.Scalar) (curve.Affine, rtl.Stats, error) {
-	return e.ScalarMultPoint(k, curve.GeneratorAffine())
+// program returns id's compiled plan with its input and output
+// registers.
+func (e *Executor) program(id ProgramID) (cp *rtl.CompiledProgram, in []uint16, out [2]uint16) {
+	if id == ProgramFixedBase {
+		return e.p.fbCompiled, nil, e.p.fbOut
+	}
+	return e.p.funcCompiled, e.p.funcIn[:], e.p.funcOut
 }
 
-// ScalarMultPoint executes [k]P on the RTL model, reusing this
-// executor's machine. With no injector attached this is the compiled
-// fast path and allocates nothing; note the returned Stats then carry
-// the program's shared read-only IssuesByOpcode map.
-func (e *Executor) ScalarMultPoint(k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
-	dec := scalar.Decompose(k)
-	e.bound[0].Val = base.X
-	e.bound[1].Val = base.Y
-	st, err := e.m.Run(rtl.RunInput{
-		Bound:     e.bound[:],
-		Rec:       scalar.Recode(dec),
-		Corrected: dec.Corrected,
-		Injector:  e.inj,
-	})
-	if err != nil {
-		return curve.Affine{}, st, err
+// laneState returns program id's lane state, grown to hold at least n
+// lanes. Growth drops the lane machine (a width change moves every
+// structure-of-arrays row), so it only ever widens.
+func (e *Executor) laneState(id ProgramID, n int) *laneState {
+	ls := &e.lanes[id]
+	if len(ls.ins) >= n {
+		return ls
 	}
-	e.runs++
-	e.cycles += int64(st.Cycles)
-	return curve.Affine{X: e.m.Reg(e.p.funcOut[0]), Y: e.m.Reg(e.p.funcOut[1])}, st, nil
+	_, in, _ := e.program(id)
+	ls.lm = nil
+	ls.bound = make([][2]rtl.Binding, n)
+	ls.ins = make([]rtl.RunInput, n)
+	if in != nil {
+		for l := range ls.ins {
+			ls.bound[l][0].Reg, ls.bound[l][1].Reg = in[0], in[1]
+			ls.ins[l].Bound = ls.bound[l][:]
+		}
+	}
+	return ls
 }
 
-// ScalarMultValidated executes [k]P on the RTL model and applies the
-// selected end-of-SM result checks. Validation failures come back as
-// wrapped ErrOffCurve / ErrDegenerate / ErrOracleMismatch errors (with
-// the raw point still returned for diagnosis); a structural hazard in
-// the run itself is returned unchanged.
-func (e *Executor) ScalarMultValidated(k scalar.Scalar, base curve.Affine, v Validate) (curve.Affine, rtl.Stats, error) {
-	out, st, err := e.ScalarMultPoint(k, base)
-	if err != nil || v == ValidateNone {
-		return out, st, err
+// laneBase is lane l's base point: G when bases is nil.
+func laneBase(bases []curve.Affine, l int) curve.Affine {
+	if bases == nil {
+		return curve.GeneratorAffine()
 	}
+	return bases[l]
+}
+
+// ScalarMultBatch executes [ks[l]]bases[l] for every lane l on program
+// prog, in one lockstep pass of its compiled schedule (see
+// rtl.LaneMachine; one lane is a width-1 batch), then applies the
+// end-of-SM result checks of level v to each lane. ProgramFixedBase
+// computes [ks[l]]G and ignores bases; a nil bases means G in every
+// lane. On a processor built without the comb program, fixed-base lanes
+// run one variable-base pass with base G.
+//
+// outs and errs are per lane: errs[l] is nil on success, lane l's
+// structural hazard, or its wrapped ErrOffCurve / ErrDegenerate /
+// ErrOracleMismatch validation failure (the raw point is then left in
+// outs[l] for diagnosis); a failing lane degrades only itself. The
+// returned Stats are the program's compiled statistics, identical for
+// every lane because the schedule is data-independent (IssuesByOpcode
+// is the shared read-only map). The whole-batch error is reserved for
+// caller mistakes: no lanes, diverging slice lengths, an unknown
+// program.
+//
+// With an injector attached every lane runs through the reference
+// interpreter instead, with the same per-lane contract.
+func (e *Executor) ScalarMultBatch(prog ProgramID, ks []scalar.Scalar, bases, outs []curve.Affine, errs []error, v Validate) (rtl.Stats, error) {
+	n := len(ks)
+	switch {
+	case n == 0:
+		return rtl.Stats{}, fmt.Errorf("core: lane run with no scalars")
+	case prog >= numPrograms:
+		return rtl.Stats{}, fmt.Errorf("core: unknown program %d", prog)
+	case len(outs) != n || len(errs) != n || (bases != nil && len(bases) != n):
+		return rtl.Stats{}, fmt.Errorf("core: lane slice lengths diverge: %d scalars, %d bases, %d outs, %d errs",
+			n, len(bases), len(outs), len(errs))
+	}
+	if prog == ProgramFixedBase {
+		bases = nil
+		if e.p.fbCompiled == nil {
+			prog = ProgramVariableBase
+		}
+	}
+	cp, _, out := e.program(prog)
+	ls := e.laneState(prog, n)
+	for l, k := range ks {
+		in := &ls.ins[l]
+		if prog == ProgramFixedBase {
+			in.Rec, in.Corrected = scalar.RecodeFixedBase(k)
+			continue
+		}
+		dec := scalar.Decompose(k)
+		in.Rec, in.Corrected = scalar.Recode(dec), dec.Corrected
+		base := laneBase(bases, l)
+		ls.bound[l][0].Val, ls.bound[l][1].Val = base.X, base.Y
+	}
+	if e.inj == nil {
+		if ls.lm == nil {
+			ls.lm = cp.NewLaneMachine(len(ls.ins))
+		}
+		if _, err := ls.lm.RunLanes(ls.ins[:n], errs); err != nil {
+			return rtl.Stats{}, err
+		}
+		for l := range ks {
+			if errs[l] == nil {
+				outs[l] = curve.Affine{X: ls.lm.Reg(l, out[0]), Y: ls.lm.Reg(l, out[1])}
+			}
+		}
+	} else {
+		if ls.it == nil {
+			ls.it = cp.NewInterpreter()
+		}
+		for l := range ks {
+			in := ls.ins[l]
+			in.Injector = e.inj
+			if _, errs[l] = ls.it.Run(in); errs[l] == nil {
+				outs[l] = curve.Affine{X: ls.it.Reg(out[0]), Y: ls.it.Reg(out[1])}
+			}
+		}
+	}
+	st := cp.Stats()
+	for l, k := range ks {
+		if errs[l] != nil {
+			continue
+		}
+		e.runs++
+		e.cycles += int64(st.Cycles)
+		if v != ValidateNone {
+			errs[l] = check(v, k, laneBase(bases, l), outs[l])
+		}
+	}
+	return st, nil
+}
+
+// check applies the end-of-SM result checks of level v (not
+// ValidateNone) to out, the datapath's claim for [k]base.
+func check(v Validate, k scalar.Scalar, base, out curve.Affine) error {
 	if err := ValidateAffine(out); err != nil {
-		return out, st, fmt.Errorf("%w (k=%v)", err, k)
+		return fmt.Errorf("%w (k=%v)", err, k)
 	}
 	if v == ValidateOracle {
 		want := curve.ScalarMult(k, curve.FromAffine(base)).Affine()
 		if !out.X.Equal(want.X) || !out.Y.Equal(want.Y) {
-			return out, st, fmt.Errorf("%w (k=%v)", ErrOracleMismatch, k)
+			return fmt.Errorf("%w (k=%v)", ErrOracleMismatch, k)
 		}
 	}
-	return out, st, nil
+	return nil
 }
 
-// HasFixedBase reports whether this executor's processor carries the
-// fixed-base comb program (so ScalarMultFixedBase rides it instead of
-// falling back to the variable-base program).
-func (e *Executor) HasFixedBase() bool { return e.p.fbCompiled != nil }
-
-// ScalarMultFixedBase executes [k]G on the fixed-base comb program,
-// reusing this executor's dedicated fixed-base machine. When the
-// processor was built without Config.FixedBase it degrades gracefully
-// to the variable-base program — same result, longer schedule.
-func (e *Executor) ScalarMultFixedBase(k scalar.Scalar) (curve.Affine, rtl.Stats, error) {
-	if e.p.fbCompiled == nil {
-		return e.ScalarMult(k)
+// single runs one unvalidated lane of ScalarMultBatch on the
+// executor's scratch, folding the lane's error into the returned error.
+func (e *Executor) single(prog ProgramID, k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
+	o := &e.one
+	o.k[0], o.base[0] = k, base
+	st, err := e.ScalarMultBatch(prog, o.k[:], o.base[:], o.out[:], o.err[:], ValidateNone)
+	if err == nil {
+		err = o.err[0]
 	}
-	if e.fbm == nil {
-		e.fbm = e.p.fbCompiled.NewMachine()
-	}
-	rec, corrected := scalar.RecodeFixedBase(k)
-	st, err := e.fbm.Run(rtl.RunInput{Rec: rec, Corrected: corrected, Injector: e.inj})
 	if err != nil {
-		return curve.Affine{}, st, err
+		return curve.Affine{}, rtl.Stats{}, err
 	}
-	e.runs++
-	e.cycles += int64(st.Cycles)
-	return curve.Affine{X: e.fbm.Reg(e.p.fbOut[0]), Y: e.fbm.Reg(e.p.fbOut[1])}, st, nil
+	return o.out[0], st, nil
 }
 
-// ScalarMultFixedBaseValidated is ScalarMultFixedBase plus the selected
-// end-of-SM result checks, mirroring ScalarMultValidated (the oracle is
-// the functional library's [k]G).
-func (e *Executor) ScalarMultFixedBaseValidated(k scalar.Scalar, v Validate) (curve.Affine, rtl.Stats, error) {
-	out, st, err := e.ScalarMultFixedBase(k)
-	if err != nil || v == ValidateNone {
-		return out, st, err
-	}
-	if err := ValidateAffine(out); err != nil {
-		return out, st, fmt.Errorf("%w (k=%v)", err, k)
-	}
-	if v == ValidateOracle {
-		want := curve.ScalarMult(k, curve.Generator()).Affine()
-		if !out.X.Equal(want.X) || !out.Y.Equal(want.Y) {
-			return out, st, fmt.Errorf("%w (k=%v)", ErrOracleMismatch, k)
-		}
-	}
-	return out, st, nil
+// ScalarMultPoint executes [k]P on the variable-base program as a
+// width-1 batch, unvalidated. Warm, it allocates nothing; the returned
+// Stats carry the program's shared read-only IssuesByOpcode map.
+func (e *Executor) ScalarMultPoint(k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
+	return e.single(ProgramVariableBase, k, base)
 }
 
-// ScalarMultChecked executes [k]P on the RTL model and cross-checks the
-// result against the pure functional curve model (the differential
-// oracle): a datapath divergence is returned as an error (wrapping
-// ErrOracleMismatch or the structural checks' sentinels), never as a
-// wrong point.
-func (e *Executor) ScalarMultChecked(k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
-	return e.ScalarMultValidated(k, base, ValidateOracle)
+// ScalarMultLanes executes [ks[l]]bases[l] for every lane l in one
+// lockstep pass of the variable-base program, unvalidated: it is
+// ScalarMultBatch at ValidateNone, with the same per-lane contract.
+func (e *Executor) ScalarMultLanes(ks []scalar.Scalar, bases []curve.Affine, outs []curve.Affine, errs []error) (rtl.Stats, error) {
+	return e.ScalarMultBatch(ProgramVariableBase, ks, bases, outs, errs, ValidateNone)
+}
+
+// ScalarMultFixedBaseLanes executes [ks[l]]G for every lane l in one
+// lockstep pass of the fixed-base comb program, unvalidated: it is
+// ScalarMultBatch at ValidateNone, with the same per-lane contract and
+// the same fallback when the comb program was not built.
+func (e *Executor) ScalarMultFixedBaseLanes(ks []scalar.Scalar, outs []curve.Affine, errs []error) (rtl.Stats, error) {
+	return e.ScalarMultBatch(ProgramFixedBase, ks, nil, outs, errs, ValidateNone)
 }

@@ -5,26 +5,27 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/curve"
 	"repro/internal/scalar"
 )
 
-// TestExecutorScalarMultZeroAllocs pins the tentpole guarantee: a warm
-// Executor running the compiled fast path (no injector) performs zero
-// heap allocations per scalar multiplication.
+// TestExecutorScalarMultZeroAllocs pins the steady-state guarantee: a
+// warm Executor running a lone scalar multiplication (a width-1 lane
+// batch, no injector) performs zero heap allocations.
 func TestExecutorScalarMultZeroAllocs(t *testing.T) {
 	p := getProcessor(t)
 	ex := p.NewExecutor()
-	k := DefaultTraceScalar()
-	if _, _, err := ex.ScalarMult(k); err != nil { // warm-up
+	k, g := DefaultTraceScalar(), curve.GeneratorAffine()
+	if _, _, err := ex.ScalarMultPoint(k, g); err != nil { // warm-up
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := ex.ScalarMult(k); err != nil {
+		if _, _, err := ex.ScalarMultPoint(k, g); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Executor.ScalarMult allocates %.1f times per run on the fast path, want 0", allocs)
+		t.Fatalf("Executor.ScalarMultPoint allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -45,7 +46,7 @@ func TestExecutorMatchesInterpreted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: interpreted: %v", trial, err)
 		}
-		got, gotSt, err := ex.ScalarMult(k)
+		got, gotSt, err := ex.ScalarMultPoint(k, curve.GeneratorAffine())
 		if err != nil {
 			t.Fatalf("trial %d: compiled: %v", trial, err)
 		}

@@ -34,17 +34,17 @@ func TestFixedBaseGated(t *testing.T) {
 	}
 	// The executor degrades gracefully to the variable-base program.
 	e := p.NewExecutor()
-	if e.HasFixedBase() {
-		t.Fatal("executor reports fixed-base on a processor without it")
-	}
 	k := scalar.Scalar{5, 6, 7, 8}
-	got, _, err := e.ScalarMultFixedBase(k)
+	got, st, err := runOne(e, ProgramFixedBase, k, curve.Affine{}, ValidateOracle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := curve.ScalarMult(k, curve.Generator()).Affine()
 	if !got.X.Equal(want.X) || !got.Y.Equal(want.Y) {
 		t.Fatal("fallback fixed-base result differs from library")
+	}
+	if st.Cycles != p.CyclesFunctional() {
+		t.Fatalf("fallback ran %d cycles, want the variable-base %d", st.Cycles, p.CyclesFunctional())
 	}
 }
 
@@ -89,7 +89,7 @@ func TestFixedBaseMatchesLibrary(t *testing.T) {
 		if !got.X.Equal(want.X) || !got.Y.Equal(want.Y) {
 			t.Fatalf("scalar %d: processor fixed-base result differs from library", i)
 		}
-		got, _, err = e.ScalarMultFixedBaseValidated(k, ValidateOracle)
+		got, _, err = runOne(e, ProgramFixedBase, k, curve.Affine{}, ValidateOracle)
 		if err != nil {
 			t.Fatalf("scalar %d: executor: %v", i, err)
 		}
@@ -111,7 +111,7 @@ func TestFixedBaseLanesParity(t *testing.T) {
 	ks[2] = scalar.Scalar{2} // even: correction path in one lane only
 	outs := make([]curve.Affine, n)
 	errs := make([]error, n)
-	if _, err := e.ScalarMultFixedBaseLanesValidated(ks, outs, errs, ValidateOracle); err != nil {
+	if _, err := e.ScalarMultBatch(ProgramFixedBase, ks, nil, outs, errs, ValidateOracle); err != nil {
 		t.Fatal(err)
 	}
 	for l, k := range ks {

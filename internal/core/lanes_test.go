@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/curve"
+	"repro/internal/fp2"
+	"repro/internal/isa"
+	"repro/internal/rtl"
 	"repro/internal/scalar"
 )
 
@@ -82,7 +85,7 @@ func TestScalarMultLanesValidated(t *testing.T) {
 	outs := make([]curve.Affine, 3)
 	errs := make([]error, 3)
 	for _, v := range []Validate{ValidateNone, ValidateOnCurve, ValidateOracle} {
-		if _, err := ex.ScalarMultLanesValidated(ks, bases, outs, errs, v); err != nil {
+		if _, err := ex.ScalarMultBatch(ProgramVariableBase, ks, bases, outs, errs, v); err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
 		for l := range errs {
@@ -166,4 +169,71 @@ func FuzzLaneParity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// faultRun is an rtl.Injector that squashes every instruction slot of
+// one run (runs are counted at their cycle-0 BeginCycle), so exactly
+// that lane of an injected batch fails with a hazard.
+type faultRun struct{ run, target int }
+
+func (f *faultRun) BeginCycle(c int, _ rtl.RegFile) {
+	if c == 0 {
+		f.run++
+	}
+}
+func (f *faultRun) Fetch(_ int, ins isa.Instr) (isa.Instr, bool)      { return ins, f.run != f.target }
+func (f *faultRun) Forward(_ int, _ uint8, v fp2.Element) fp2.Element { return v }
+func (f *faultRun) Retire(_ int, _ uint8, _ uint16, v fp2.Element) fp2.Element {
+	return v
+}
+
+// TestInjectedLaneStats: with an injector attached, a batch whose last
+// lane faults must still report the compiled Stats of the program that
+// ran, so every successful lane gets them — on the variable-base
+// program, on the comb, and on the comb's variable-base fallback.
+func TestInjectedLaneStats(t *testing.T) {
+	fb, vb := getFBProcessor(t), getProcessor(t)
+	const n = 3
+	g := curve.GeneratorAffine()
+	bases := []curve.Affine{g, g, g}
+	cases := []struct {
+		name string
+		p    *Processor
+		run  func(ex *Executor, ks []scalar.Scalar, outs []curve.Affine, errs []error) (rtl.Stats, error)
+		want rtl.Stats
+	}{
+		{"variablebase", fb, func(ex *Executor, ks []scalar.Scalar, outs []curve.Affine, errs []error) (rtl.Stats, error) {
+			return ex.ScalarMultLanes(ks, bases, outs, errs)
+		}, fb.Compiled().Stats()},
+		{"fixedbase", fb, (*Executor).ScalarMultFixedBaseLanes, fb.FixedBaseCompiled().Stats()},
+		{"fixedbase-fallback", vb, (*Executor).ScalarMultFixedBaseLanes, vb.Compiled().Stats()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ex := c.p.NewExecutor()
+			ex.SetInjector(&faultRun{target: n})
+			ks := []scalar.Scalar{{11}, {12, 13}, {14, 15, 16}}
+			outs := make([]curve.Affine, n)
+			errs := make([]error, n)
+			st, err := c.run(ex, ks, outs, errs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if errs[n-1] == nil {
+				t.Fatal("the injected last lane did not fail")
+			}
+			if !reflect.DeepEqual(st, c.want) {
+				t.Fatalf("batch stats = %+v, want the program's compiled %+v", st, c.want)
+			}
+			for l := 0; l < n-1; l++ {
+				if errs[l] != nil {
+					t.Fatalf("lane %d: %v", l, errs[l])
+				}
+				want := curve.ScalarMult(ks[l], curve.Generator()).Affine()
+				if !outs[l].X.Equal(want.X) || !outs[l].Y.Equal(want.Y) {
+					t.Fatalf("lane %d: wrong point", l)
+				}
+			}
+		})
+	}
 }

@@ -36,6 +36,17 @@ func (s *outputSwapper) Retire(_ int, _ uint8, dst uint16, v fp2.Element) fp2.El
 	return v
 }
 
+// runOne runs a single lane of ex.ScalarMultBatch at level v and returns
+// the lane's point (raw, on a validation failure) with its error.
+func runOne(ex *Executor, prog ProgramID, k scalar.Scalar, base curve.Affine, v Validate) (curve.Affine, rtl.Stats, error) {
+	outs, errs := make([]curve.Affine, 1), make([]error, 1)
+	st, err := ex.ScalarMultBatch(prog, []scalar.Scalar{k}, []curve.Affine{base}, outs, errs, v)
+	if err == nil {
+		err = errs[0]
+	}
+	return outs[0], st, err
+}
+
 func swapperFor(t *testing.T, p *Processor, to curve.Affine) *outputSwapper {
 	t.Helper()
 	outs := p.Program().OutputRegs
@@ -47,9 +58,9 @@ func swapperFor(t *testing.T, p *Processor, to curve.Affine) *outputSwapper {
 	return &outputSwapper{xReg: xr, yReg: yr, x: to.X, y: to.Y}
 }
 
-// TestScalarMultCheckedMismatchPath is the regression test for the
-// previously untested branch: a corrupted result that still lies on the
-// curve must come back as ErrOracleMismatch, never as a wrong point.
+// TestScalarMultCheckedMismatchPath: under oracle validation, a
+// corrupted result that still lies on the curve must come back as
+// ErrOracleMismatch, never as a wrong point.
 func TestScalarMultCheckedMismatchPath(t *testing.T) {
 	p := getProcessor(t)
 	k := DefaultTraceScalar()
@@ -61,9 +72,9 @@ func TestScalarMultCheckedMismatchPath(t *testing.T) {
 	}
 	ex := p.NewExecutor()
 	ex.SetInjector(swapperFor(t, p, wrong))
-	got, _, err := ex.ScalarMultChecked(k, curve.GeneratorAffine())
+	got, _, err := runOne(ex, ProgramVariableBase, k, curve.GeneratorAffine(), ValidateOracle)
 	if err == nil {
-		t.Fatal("ScalarMultChecked accepted a corrupted on-curve result")
+		t.Fatal("oracle validation accepted a corrupted on-curve result")
 	}
 	if !errors.Is(err, ErrOracleMismatch) {
 		t.Fatalf("err = %v, want ErrOracleMismatch", err)
@@ -74,12 +85,12 @@ func TestScalarMultCheckedMismatchPath(t *testing.T) {
 	}
 }
 
-// TestScalarMultCheckedHappyPathUnchanged pins that the checked path
-// still returns clean results when the datapath is honest.
+// TestScalarMultCheckedHappyPath pins that oracle validation returns
+// clean results when the datapath is honest.
 func TestScalarMultCheckedHappyPath(t *testing.T) {
 	p := getProcessor(t)
 	k := DefaultTraceScalar()
-	got, st, err := p.NewExecutor().ScalarMultChecked(k, curve.GeneratorAffine())
+	got, st, err := runOne(p.NewExecutor(), ProgramVariableBase, k, curve.GeneratorAffine(), ValidateOracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +113,13 @@ func TestValidateOnCurveCatchesOffCurveResult(t *testing.T) {
 	}
 	ex := p.NewExecutor()
 	ex.SetInjector(swapperFor(t, p, bogus))
-	_, _, err := ex.ScalarMultValidated(DefaultTraceScalar(), curve.GeneratorAffine(), ValidateOnCurve)
+	_, _, err := runOne(ex, ProgramVariableBase, DefaultTraceScalar(), curve.GeneratorAffine(), ValidateOnCurve)
 	if !errors.Is(err, ErrOffCurve) {
 		t.Fatalf("err = %v, want ErrOffCurve", err)
 	}
 	// ValidateNone must hand the corrupted word through untouched: the
 	// caller explicitly opted out of self-checking.
-	got, _, err := ex.ScalarMultValidated(DefaultTraceScalar(), curve.GeneratorAffine(), ValidateNone)
+	got, _, err := runOne(ex, ProgramVariableBase, DefaultTraceScalar(), curve.GeneratorAffine(), ValidateNone)
 	if err != nil {
 		t.Fatalf("ValidateNone rejected the run: %v", err)
 	}

@@ -11,10 +11,10 @@ import (
 
 // BenchmarkEngineThroughput measures batch scalar-multiplication
 // throughput through the full serving path (queue, workers with
-// per-worker compiled machines, on-curve validation). One op is one
-// scalar multiplication; ReportAllocs makes per-op allocation overhead
-// of the serving layer visible next to the allocation-free executor
-// fast path underneath it.
+// per-worker lane machines, on-curve validation). One op is one scalar
+// multiplication; ReportAllocs makes per-op allocation overhead of the
+// serving layer visible next to the allocation-free executor
+// underneath it.
 func BenchmarkEngineThroughput(b *testing.B) {
 	proc, err := CachedProcessor(core.Config{})
 	if err != nil {

@@ -117,13 +117,14 @@ type Options struct {
 	// Injector, when non-nil, arms worker i's executor with
 	// Injector(i) — the fault-campaign hook (see internal/fault).
 	Injector func(worker int) rtl.Injector
-	// LaneWidth > 1 turns on request coalescing: each worker drains up
-	// to LaneWidth queued jobs and executes them in one lockstep pass of
-	// the compiled schedule (core.Executor.ScalarMultLanes), amortizing
-	// the schedule walk across the batch. Results and errors stay
-	// per-request and are delivered exactly-once through the same job
-	// plumbing; a lane that fails validation re-enters the retry ladder
-	// alone. Default 1 (no coalescing).
+	// LaneWidth is the most queued jobs a worker coalesces into one
+	// lockstep pass of the compiled schedule (core.Executor.
+	// ScalarMultBatch), amortizing the schedule walk across the batch.
+	// Every width takes the same path; width 1 is the degenerate batch
+	// of one job. Results and errors stay per-request and are delivered
+	// exactly-once through the same job plumbing; a lane that fails
+	// validation re-enters the retry ladder alone. Default 1 (no
+	// coalescing).
 	LaneWidth int
 	// FlushDeadline bounds how long a lane worker waits for lane-mates
 	// when it holds a partial batch: once it expires the batch runs at
@@ -152,8 +153,8 @@ type Options struct {
 	// Engine.Flight.
 	FlightRecorder *telemetry.FlightRecorder
 	// ExecHook, when non-nil, is called by a worker after it has claimed
-	// work and immediately before executing it (once per claimed job on
-	// the single-job path, once per lockstep batch on the lane path).
+	// work and immediately before executing it: once per claimed batch,
+	// which at LaneWidth 1 is once per claimed job.
 	// It is the deterministic chaos hook for modeling a stalled shard: a
 	// hook that blocks stalls this engine's workers with work claimed,
 	// which backs the queue up without dropping anything — exactly the
@@ -183,32 +184,25 @@ func (b Backend) String() string {
 	return "rtl"
 }
 
-// Class routes a request to its cheapest microprogram. The two classes
-// never share a lockstep lane batch: coalescing keeps lanes
+// Class routes a request to its cheapest microprogram: it is core's
+// program ID, so the class-to-program mapping lives in one place. The
+// classes never share a lockstep lane batch: coalescing keeps lanes
 // program-homogeneous (every lane of a batch walks the same schedule),
 // cutting a batch short at a class boundary rather than mixing.
-type Class uint8
+type Class = core.ProgramID
 
 const (
 	// ClassVariableBase: the generic variable-base program, any base
 	// point ([k]P). The zero value, so untagged requests keep today's
 	// behavior.
-	ClassVariableBase Class = iota
+	ClassVariableBase = core.ProgramVariableBase
 	// ClassFixedBase: the fixed-base comb program for [k]G — the signing
 	// workload's commitment multiplication. Requests of this class
 	// ignore Base (the comb's tables are baked in for the generator).
 	// On a processor built without core.Config.FixedBase the executor
 	// degrades gracefully to the variable-base program.
-	ClassFixedBase
+	ClassFixedBase = core.ProgramFixedBase
 )
-
-// String names the class as used in logs and reports.
-func (c Class) String() string {
-	if c == ClassFixedBase {
-		return "fixedbase"
-	}
-	return "variablebase"
-}
 
 // Request is one scalar multiplication [K]Base. The zero-value Base
 // (which is not a curve point) selects the generator. Class selects the
@@ -218,6 +212,15 @@ type Request struct {
 	K     scalar.Scalar
 	Base  curve.Affine
 	Class Class
+}
+
+// base is the point the request multiplies: the generator for the
+// fixed-base class and for the zero-value Base.
+func (r Request) base() curve.Affine {
+	if r.Class == ClassFixedBase || r.Base == (curve.Affine{}) {
+		return curve.GeneratorAffine()
+	}
+	return r.Base
 }
 
 // Result carries the affine product and the datapath statistics of the
@@ -322,13 +325,34 @@ type workerState struct {
 	consecFaults int
 	quarantined  bool
 	stateGauge   *telemetry.Gauge // engine.worker_<id>_state: 0 active, 1 quarantined
-	// Lane-coalescing scratch, sized to Options.LaneWidth once at
-	// construction so the steady-state batch path allocates nothing.
-	jobs  []*job
+	// jobs is the claimed batch; batch and retry are the RTL scratch of
+	// its lockstep pass and of one request's retries. All are sized
+	// once at construction, so the steady state allocates nothing.
+	jobs         []*job
+	batch, retry laneBuf
+}
+
+// laneBuf is the argument and result scratch of one
+// core.Executor.ScalarMultBatch call.
+type laneBuf struct {
 	ks    []scalar.Scalar
 	bases []curve.Affine
 	outs  []curve.Affine
-	lerrs []error
+	errs  []error
+}
+
+func newLaneBuf(n int) laneBuf {
+	return laneBuf{
+		ks:    make([]scalar.Scalar, n),
+		bases: make([]curve.Affine, n),
+		outs:  make([]curve.Affine, n),
+		errs:  make([]error, n),
+	}
+}
+
+// set loads req into lane i.
+func (b *laneBuf) set(i int, req Request) {
+	b.ks[i], b.bases[i] = req.K, req.base()
 }
 
 // New builds (or fetches from the process-wide cache — see
@@ -475,24 +499,16 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 			ex:         ex,
 			rng:        jitterRNG(uint64(opts.BackoffSeed) ^ uint64(i+1)*0x9E3779B97F4A7C15),
 			stateGauge: reg.Gauge(fmt.Sprintf("%s.worker_%d_state", ns, i)),
+			jobs:       make([]*job, 0, opts.LaneWidth),
+			batch:      newLaneBuf(opts.LaneWidth),
+			retry:      newLaneBuf(1),
 		}
 		w.stateGauge.Set(0)
 		e.wg.Add(1)
-		run := e.worker
-		if lw := opts.LaneWidth; lw > 1 {
-			w.jobs = make([]*job, 0, lw)
-			w.ks = make([]scalar.Scalar, 0, lw)
-			w.bases = make([]curve.Affine, 0, lw)
-			w.outs = make([]curve.Affine, lw)
-			w.lerrs = make([]error, lw)
-			run = e.workerLanes
-		}
 		// Label the worker goroutine so CPU profiles taken off the debug
 		// endpoint attribute samples to pool members.
-		go func(w *workerState, run func(*workerState)) {
-			pprof.Do(context.Background(), pprof.Labels("engine_worker", strconv.Itoa(w.id)),
-				func(context.Context) { run(w) })
-		}(w, run)
+		go pprof.Do(context.Background(), pprof.Labels("engine_worker", strconv.Itoa(w.id)),
+			func(context.Context) { e.worker(w) })
 	}
 	return e
 }
@@ -665,6 +681,11 @@ func (e *Engine) enqueue(ctx context.Context, reqs ...Request) ([]*job, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	for _, r := range reqs {
+		if r.Class > ClassFixedBase {
+			return nil, fmt.Errorf("engine: unknown request class %d", r.Class)
+		}
+	}
 	now := time.Now()
 	js := make([]*job, len(reqs))
 	for i, r := range reqs {
@@ -722,37 +743,8 @@ func (e *Engine) await(ctx context.Context, j *job) (Result, error) {
 	}
 }
 
-// worker pops jobs and executes them on its own executor.
-func (e *Engine) worker(w *workerState) {
-	defer e.wg.Done()
-	for {
-		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.cond.Wait()
-		}
-		if len(e.queue) == 0 {
-			e.mu.Unlock()
-			return
-		}
-		j := e.queue[0]
-		e.queue = e.queue[1:]
-		e.depth.Set(float64(len(e.queue)))
-		e.mu.Unlock()
-
-		if !j.state.CompareAndSwap(jobPending, jobClaimed) {
-			continue // canceled while queued; the canceler accounted for it
-		}
-		e.claimJob(j)
-		e.inFlight.Add(1)
-		if e.opts.ExecHook != nil {
-			e.opts.ExecHook(w.id)
-		}
-		e.deliver(j, e.execute(w, j))
-	}
-}
-
 // deliver resolves one claimed job: exactly one Result on done, with
-// the in-flight/latency/completion accounting of the single-job loop.
+// its in-flight/latency/completion accounting.
 func (e *Engine) deliver(j *job, r Result) {
 	e.load.Add(-1)
 	e.inFlight.Add(-1)
@@ -774,10 +766,9 @@ func (e *Engine) deliver(j *job, r Result) {
 	j.done <- r
 }
 
-// workerLanes is the coalescing worker loop (Options.LaneWidth > 1):
-// drain up to LaneWidth jobs, run them in one lockstep pass, deliver
-// per lane.
-func (e *Engine) workerLanes(w *workerState) {
+// worker is the pool member's loop: claim up to LaneWidth jobs, run
+// them in one lockstep pass on its own executor, deliver per lane.
+func (e *Engine) worker(w *workerState) {
 	defer e.wg.Done()
 	for {
 		jobs := e.collect(w)
@@ -793,11 +784,11 @@ func (e *Engine) workerLanes(w *workerState) {
 }
 
 // collect claims up to LaneWidth queued jobs for one lockstep batch.
-// It blocks for the first job like the single-job loop; holding a
-// partial batch it then waits for lane-mates in FlushDeadline/4 slices
-// of injected-Clock sleep, giving up at the flush deadline (or at once
-// when the deadline is negative, or when the engine closes) — so a
-// lone request pays at most the deadline, never an unbounded wait.
+// It blocks for the first job; holding a partial batch it then waits
+// for lane-mates in FlushDeadline/4 slices of injected-Clock sleep,
+// giving up at the flush deadline (or at once when the deadline is
+// negative, or when the engine closes) — so a lone request pays at most
+// the deadline, never an unbounded wait.
 // Returns an empty slice when the engine is closed and drained.
 func (e *Engine) collect(w *workerState) []*job {
 	lw := e.opts.LaneWidth
@@ -886,9 +877,9 @@ func (e *Engine) popClaim(w *workerState, max int) bool {
 // lockstep pass counted as RTL attempt #1 for every lane; a lane
 // rejected by validation re-enters the per-request degradation ladder
 // (executeFrom with one attempt spent), so retry, quarantine, breaker,
-// and software-fallback semantics stay per request. Batches of one, a
-// quarantined worker, or a breaker refusing the batch all route through
-// the unchanged single-job ladder.
+// and software-fallback semantics stay per request. A quarantined
+// worker or a breaker refusing the batch sends every job down that
+// ladder from the start.
 func (e *Engine) executeLanes(w *workerState, jobs []*job) {
 	n := len(jobs)
 	// Lane-occupancy accounting for every dispatch, full or partial: how
@@ -899,80 +890,76 @@ func (e *Engine) executeLanes(w *workerState, jobs []*job) {
 	for _, j := range jobs {
 		e.spanLaneFill(j, w.id, n)
 	}
-	if n == 1 || w.quarantined || !e.brk.allowRTL(e.clock.Now()) {
+	if w.quarantined || !e.brk.allowRTL(e.clock.Now()) {
 		for _, j := range jobs {
-			e.deliver(j, e.execute(w, j))
+			e.deliver(j, e.executeFrom(w, j, 0))
 		}
 		return
 	}
 	// popClaim keeps batches class-homogeneous, so the first job's class
 	// is the batch's class and one lockstep pass serves every lane.
-	fixed := jobs[0].req.Class == ClassFixedBase
-	w.ks, w.bases = w.ks[:0], w.bases[:0]
-	for _, j := range jobs {
-		w.ks = append(w.ks, j.req.K)
-		if fixed {
-			continue // the comb program's base is baked in
-		}
-		base := j.req.Base
-		if base == (curve.Affine{}) {
-			base = curve.GeneratorAffine()
-		}
-		w.bases = append(w.bases, base)
+	for i, j := range jobs {
+		w.batch.set(i, j.req)
 	}
 	startUS := e.spanNowUS(jobs)
-	t0 := time.Now()
-	var st rtl.Stats
-	var err error
-	if fixed {
-		st, err = w.ex.ScalarMultFixedBaseLanesValidated(w.ks, w.outs[:n], w.lerrs[:n], e.validate)
-	} else {
-		st, err = w.ex.ScalarMultLanesValidated(w.ks, w.bases, w.outs[:n], w.lerrs[:n], e.validate)
-	}
-	e.execH.Observe(time.Since(t0).Seconds())
-	if err != nil {
-		// Whole-batch refusal (cannot happen with well-formed scratch
-		// buffers); serve every job individually rather than dropping any.
-		for _, j := range jobs {
-			e.deliver(j, e.execute(w, j))
-		}
-		return
-	}
+	st := e.runRTL(w, &w.batch, jobs[0].req.Class, n)
 	e.laneRuns.Inc()
 	e.laneLanes.Add(int64(n))
 	e.fr.Record("lane_run", w.id, 0, 1, fmt.Sprintf("lanes=%d", n))
 	for i, j := range jobs {
-		e.spanExecute(j, w.id, 1, BackendRTL, startUS, w.lerrs[i] == nil)
-		e.spanValidate(j, w.id, w.lerrs[i] == nil)
-		if w.lerrs[i] == nil {
-			e.brk.record(false, e.clock.Now())
-			w.consecFaults = 0
-			e.deliver(j, Result{Point: w.outs[i], Stats: st, Backend: BackendRTL, Attempts: 1})
+		if e.noteAttempt(w, j, 1, startUS, w.batch.errs[i]) {
+			e.deliver(j, Result{Point: w.batch.outs[i], Stats: st, Backend: BackendRTL, Attempts: 1})
 			continue
 		}
-		// A detected fault in this lane only: same accounting as the
-		// single-job ladder's failed attempt, then that ladder continues.
-		e.valFailed.Inc()
-		e.valFails.Add(1)
-		e.fr.Record("lane_error", w.id, j.id, 1, w.lerrs[i].Error())
-		e.fr.Anomaly("lane_error")
-		e.brk.record(true, e.clock.Now())
-		w.consecFaults++
-		if e.opts.QuarantineAfter > 0 && w.consecFaults >= e.opts.QuarantineAfter {
-			e.noteQuarantine(w)
-		}
+		// A detected fault in this lane only: the ladder continues for it.
 		e.deliver(j, e.executeFrom(w, j, 1))
 	}
 }
 
-// execute runs one request down the degradation ladder: validated RTL
-// attempts with backoff between them, quarantine when this worker's
-// consecutive-fault streak crosses the limit, the pool-wide breaker
-// gating every attempt, and finally the functional software backend —
-// which always answers, so execute never returns a Result.Err for a
-// datapath fault.
-func (e *Engine) execute(w *workerState, j *job) Result {
-	return e.executeFrom(w, j, 0)
+// runRTL runs the first n lanes of b as one validated lockstep pass of
+// class's program on w's executor — the engine's only RTL call site —
+// leaving each lane's point and error in b. A whole-batch refusal
+// (impossible with well-formed scratch) lands in every lane's error,
+// so the ladder still answers each request.
+func (e *Engine) runRTL(w *workerState, b *laneBuf, class Class, n int) rtl.Stats {
+	t0 := time.Now()
+	st, err := w.ex.ScalarMultBatch(class, b.ks[:n], b.bases[:n], b.outs[:n], b.errs[:n], e.validate)
+	e.execH.Observe(time.Since(t0).Seconds())
+	if err != nil {
+		for i := range b.errs[:n] {
+			b.errs[i] = err
+		}
+	}
+	return st
+}
+
+// noteAttempt books the outcome of RTL attempt number attempt of j
+// (err nil on success): its spans and flight event, the breaker sample,
+// and the worker's fault streak, quarantining the worker at the limit.
+// The flight record lands before the breaker sees a failure, so a
+// trip's anomaly dump always contains the attempt that caused it. It
+// reports whether the attempt succeeded.
+func (e *Engine) noteAttempt(w *workerState, j *job, attempt int, startUS int64, err error) bool {
+	e.spanExecute(j, w.id, attempt, BackendRTL, startUS, err == nil)
+	e.spanValidate(j, w.id, err == nil)
+	if err == nil {
+		e.fr.Record("execute", w.id, j.id, attempt, "")
+		e.brk.record(false, e.clock.Now())
+		w.consecFaults = 0
+		return true
+	}
+	// A detected fault: the validated result never leaves the worker,
+	// only the failure accounting does.
+	e.valFailed.Inc()
+	e.valFails.Add(1)
+	e.fr.Record("validation_failed", w.id, j.id, attempt, err.Error())
+	e.fr.Anomaly("validation_failed")
+	e.brk.record(true, e.clock.Now())
+	w.consecFaults++
+	if e.opts.QuarantineAfter > 0 && w.consecFaults >= e.opts.QuarantineAfter {
+		e.noteQuarantine(w)
+	}
+	return false
 }
 
 // noteQuarantine flags a worker's permanent move to the software
@@ -988,18 +975,18 @@ func (e *Engine) noteQuarantine(w *workerState) {
 	e.fr.Anomaly("worker_quarantined")
 }
 
-// executeFrom is execute with `prior` RTL attempts already spent on the
-// request (the lane path's lockstep pass counts as one): the returned
-// Attempts includes them, the remaining tries continue the same
-// MaxAttempts budget, and re-entering with prior > 0 first pays the
-// backoff a single-path run would have slept after that failed attempt.
+// executeFrom runs one request down the degradation ladder with
+// `prior` RTL attempts already spent on it (the lane pass counts as
+// one): validated RTL attempts with backoff between them, quarantine
+// when this worker's consecutive-fault streak crosses the limit, the
+// pool-wide breaker gating every attempt, and finally the functional
+// software backend — which always answers, so executeFrom never returns
+// a Result.Err for a datapath fault. The returned Attempts includes the
+// prior ones, the remaining tries continue the same MaxAttempts budget,
+// and re-entering with prior > 0 first pays the backoff slept after
+// that failed attempt.
 func (e *Engine) executeFrom(w *workerState, j *job, prior int) Result {
 	req := j.req
-	fixed := req.Class == ClassFixedBase
-	base := req.Base
-	if base == (curve.Affine{}) {
-		base = curve.GeneratorAffine()
-	}
 	var r Result
 	r.Attempts = prior
 	if !w.quarantined {
@@ -1016,40 +1003,14 @@ func (e *Engine) executeFrom(w *workerState, j *job, prior int) Result {
 			if j.span != nil {
 				startUS = e.trace.NowUS()
 			}
-			t0 := time.Now()
-			var (
-				pt  curve.Affine
-				st  rtl.Stats
-				err error
-			)
-			if fixed {
-				pt, st, err = w.ex.ScalarMultFixedBaseValidated(req.K, e.validate)
-			} else {
-				pt, st, err = w.ex.ScalarMultValidated(req.K, base, e.validate)
-			}
-			e.execH.Observe(time.Since(t0).Seconds())
+			w.retry.set(0, req)
+			st := e.runRTL(w, &w.retry, req.Class, 1)
 			r.Attempts++
-			e.spanExecute(j, w.id, r.Attempts, BackendRTL, startUS, err == nil)
-			e.spanValidate(j, w.id, err == nil)
-			if err == nil {
-				e.fr.Record("execute", w.id, j.id, r.Attempts, "")
-				e.brk.record(false, e.clock.Now())
-				w.consecFaults = 0
-				r.Point, r.Stats, r.Backend = pt, st, BackendRTL
+			if e.noteAttempt(w, j, r.Attempts, startUS, w.retry.errs[0]) {
+				r.Point, r.Stats, r.Backend = w.retry.outs[0], st, BackendRTL
 				return r
 			}
-			// A detected fault: the validated result never leaves the
-			// worker, only the failure accounting does. The flight record
-			// lands before the breaker sees the outcome, so a trip's
-			// anomaly dump always contains the attempt that caused it.
-			e.valFailed.Inc()
-			e.valFails.Add(1)
-			e.fr.Record("validation_failed", w.id, j.id, r.Attempts, err.Error())
-			e.fr.Anomaly("validation_failed")
-			e.brk.record(true, e.clock.Now())
-			w.consecFaults++
-			if e.opts.QuarantineAfter > 0 && w.consecFaults >= e.opts.QuarantineAfter {
-				e.noteQuarantine(w)
+			if w.quarantined {
 				break
 			}
 			if attempt+1 < e.opts.MaxAttempts {
@@ -1068,11 +1029,7 @@ func (e *Engine) executeFrom(w *workerState, j *job, prior int) Result {
 		startUS = e.trace.NowUS()
 	}
 	t0 := time.Now()
-	if fixed {
-		r.Point = curve.ScalarMult(req.K, curve.Generator()).Affine()
-	} else {
-		r.Point = curve.ScalarMult(req.K, curve.FromAffine(base)).Affine()
-	}
+	r.Point = curve.ScalarMult(req.K, curve.FromAffine(req.base())).Affine()
 	e.execH.Observe(time.Since(t0).Seconds())
 	r.Backend = BackendSoftware
 	e.spanExecute(j, w.id, r.Attempts, BackendSoftware, startUS, true)

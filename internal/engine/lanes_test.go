@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	mrand "math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,6 +86,68 @@ func TestEngineCoalescing(t *testing.T) {
 	}
 	if v := reg.Gauge("engine.in_flight").Value(); v != 0 {
 		t.Fatalf("in_flight = %v after drain, want 0", v)
+	}
+}
+
+// TestEngineWidthOne pins the degenerate batch: at LaneWidth 1 every
+// fault-free request is one lockstep pass of one lane, counted once in
+// engine.lane_runs and engine.lane_lanes, ExecHook fires once per
+// claimed job, and each result carries its program's compiled Stats.
+func TestEngineWidthOne(t *testing.T) {
+	p := testProcessor(t)
+	reg := telemetry.NewRegistry()
+	var hooks atomic.Int64
+	e := NewWithProcessor(p, Options{
+		Workers: 2, QueueDepth: 16, Registry: reg,
+		ExecHook: func(int) { hooks.Add(1) },
+	})
+	rng := mrand.New(mrand.NewSource(2718))
+	const jobs = 6
+	reqs := make([]Request, jobs)
+	for i := range reqs {
+		reqs[i] = randReq(rng)
+	}
+	reqs[0].Class = ClassFixedBase // no comb built: the variable-base fallback
+	results, err := e.SubmitBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	for i, r := range results {
+		want := wantPoint(reqs[i])
+		if reqs[i].Class == ClassFixedBase {
+			want = curve.ScalarMult(reqs[i].K, curve.Generator()).Affine()
+		}
+		if !r.Point.X.Equal(want.X) || !r.Point.Y.Equal(want.Y) {
+			t.Fatalf("request %d: wrong point", i)
+		}
+		if r.Backend != BackendRTL || r.Attempts != 1 || r.Stats.Cycles != p.CyclesFunctional() {
+			t.Fatalf("request %d: backend %v attempts %d cycles %d, want RTL/1/%d",
+				i, r.Backend, r.Attempts, r.Stats.Cycles, p.CyclesFunctional())
+		}
+	}
+	get := func(name string) int64 { return reg.Counter(name).Value() }
+	if runs, lanes := get("engine.lane_runs"), get("engine.lane_lanes"); runs != jobs || lanes != jobs {
+		t.Fatalf("lane_runs=%d lane_lanes=%d, want %d each", runs, lanes, jobs)
+	}
+	if got := hooks.Load(); got != jobs {
+		t.Fatalf("ExecHook fired %d times, want once per job (%d)", got, jobs)
+	}
+	if got := get("engine.flush_deadline_hits"); got != 0 {
+		t.Fatalf("flush_deadline_hits = %d at width 1, want 0", got)
+	}
+}
+
+// TestEngineRejectsUnknownClass: a request naming no program is refused
+// at submission, never run (or retried) as a datapath fault.
+func TestEngineRejectsUnknownClass(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e := newTestEngine(t, Options{Workers: 1, Registry: reg})
+	if _, err := e.Submit(context.Background(), Request{K: scalar.Scalar{1}, Class: ClassFixedBase + 1}); err == nil {
+		t.Fatal("unknown class accepted")
+	}
+	if got := reg.Counter("engine.submitted").Value(); got != 0 {
+		t.Fatalf("submitted = %d after a refused request, want 0", got)
 	}
 }
 

@@ -151,10 +151,13 @@ func Campaign(p *core.Processor, cfg CampaignConfig) (*Report, error) {
 	}
 
 	rng := splitmix64(cfg.Seed)
+	// One executor serves every trial: injected runs go through its
+	// reusable interpreter, which clears the written bits, pipelines and
+	// statistics per run, so no trial can observe another's state.
+	ex := p.NewExecutor()
 	for i := 0; i < cfg.Trials; i++ {
 		f := randomFault(&rng, sites, prog.Makespan, prog.NumRegs)
 		inj := NewInjector([]Fault{f}, cfg.Registry)
-		ex := p.NewExecutor()
 		ex.SetInjector(inj)
 		got, _, err := ex.ScalarMultPoint(k, base)
 
@@ -218,9 +221,9 @@ func FindDetected(p *core.Processor, cfg CampaignConfig) (Fault, error) {
 	base := curve.GeneratorAffine()
 	prog := p.Program()
 	rng := splitmix64(cfg.Seed)
+	ex := p.NewExecutor()
 	for i := 0; i < cfg.Trials; i++ {
 		f := randomFault(&rng, sites, prog.Makespan, prog.NumRegs)
-		ex := p.NewExecutor()
 		ex.SetInjector(NewInjector([]Fault{f}, cfg.Registry))
 		got, _, err := ex.ScalarMultPoint(k, base)
 		if err == nil && core.ValidateAffine(got) != nil {

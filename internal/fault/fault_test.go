@@ -10,6 +10,7 @@ import (
 	"repro/internal/curve"
 	"repro/internal/fp"
 	"repro/internal/fp2"
+	"repro/internal/scalar"
 	"repro/internal/telemetry"
 )
 
@@ -96,14 +97,22 @@ func TestInjectorBudgetModelsOneShotSEU(t *testing.T) {
 
 	k := core.DefaultTraceScalar()
 	g := curve.GeneratorAffine()
-	if _, _, err := ex.ScalarMultValidated(k, g, core.ValidateOnCurve); err == nil {
+	// validated runs one lane of the executor's batch entry point at v.
+	validated := func(v core.Validate) (curve.Affine, error) {
+		outs, errs := make([]curve.Affine, 1), make([]error, 1)
+		if _, err := ex.ScalarMultBatch(core.ProgramVariableBase, []scalar.Scalar{k}, []curve.Affine{g}, outs, errs, v); err != nil {
+			return curve.Affine{}, err
+		}
+		return outs[0], errs[0]
+	}
+	if _, err := validated(core.ValidateOnCurve); err == nil {
 		t.Fatal("first run: the armed fault was not detected")
 	}
 	if inj.Fired() != 1 {
 		t.Fatalf("first run fired %d times, want 1", inj.Fired())
 	}
 	// The SEU is spent: the retry must run fault-free and validate.
-	got, _, err := ex.ScalarMultValidated(k, g, core.ValidateOracle)
+	got, err := validated(core.ValidateOracle)
 	if err != nil {
 		t.Fatalf("second run with exhausted budget: %v", err)
 	}
@@ -235,8 +244,12 @@ func TestValidationSentinelsSurface(t *testing.T) {
 	f := findDetectedRegFileFault(t, p)
 	ex := p.NewExecutor()
 	ex.SetInjector(NewInjector([]Fault{f}, nil))
-	_, _, err := ex.ScalarMultValidated(core.DefaultTraceScalar(), curve.GeneratorAffine(), core.ValidateOnCurve)
-	if !errors.Is(err, core.ErrOffCurve) && !errors.Is(err, core.ErrDegenerate) {
+	outs, errs := make([]curve.Affine, 1), make([]error, 1)
+	ks := []scalar.Scalar{core.DefaultTraceScalar()}
+	if _, err := ex.ScalarMultBatch(core.ProgramVariableBase, ks, nil, outs, errs, core.ValidateOnCurve); err != nil {
+		t.Fatal(err)
+	}
+	if err := errs[0]; !errors.Is(err, core.ErrOffCurve) && !errors.Is(err, core.ErrDegenerate) {
 		t.Fatalf("validation error %v is not a structural-check sentinel", err)
 	}
 }

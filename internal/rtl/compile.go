@@ -29,12 +29,12 @@ import (
 //     and shared read-only by every run.
 //
 // A CompiledProgram is immutable after Compile and safe for concurrent
-// use; per-run mutable state lives in Machine.
+// use; per-run mutable state lives in a LaneMachine or Interpreter.
 type CompiledProgram struct {
 	prog *isa.Program
 	// byCycle groups the original instruction stream by issue cycle in
-	// program order; the interpreted slow path walks it so observed event
-	// order is identical to the reference interpreter's.
+	// program order; Interpreter handles walk it, so they never rebuild
+	// it per run.
 	byCycle [][]isa.Instr
 	ops     []cOp    // pre-decoded, cycle-major, program intra-cycle order
 	cycles  []cCycle // one entry per cycle 0..Makespan
@@ -45,7 +45,7 @@ type CompiledProgram struct {
 	// trackWritten is set.
 	initWritten []bool
 	// trackWritten is set when at least one runtime-selected operand
-	// could not be statically proven initialized, so the fast path must
+	// could not be statically proven initialized, so a LaneMachine must
 	// maintain written bits to serve its residual checks.
 	trackWritten bool
 	// rom is the flattened fixed-base window ROM: coordinate c of entry u
@@ -379,7 +379,7 @@ func (cp *CompiledProgram) InputReg(name string) (uint16, bool) {
 }
 
 // OutputReg resolves an output name to its register, for reading results
-// off a Machine without an output map.
+// off a LaneMachine or Interpreter without an output map.
 func (cp *CompiledProgram) OutputReg(name string) (uint16, bool) {
 	r, ok := cp.prog.OutputRegs[name]
 	return r, ok

@@ -29,10 +29,28 @@ func boundInputs(t testing.TB, cp *CompiledProgram, in map[string]fp2.Element) [
 	return bound
 }
 
-// TestCompiledMatchesInterpreter is the core differential check of the
-// tentpole: the compiled fast path and the reference interpreter must
-// agree on outputs AND on the complete statistics structure for a spread
-// of random scalars.
+// laneWidths are the machine widths the single-input tests run at: the
+// degenerate width-1 batch, and one lane of a wider machine.
+var laneWidths = []int{1, 4}
+
+// runLane executes one input as a one-lane batch on lm (of any width),
+// folding the lane's error into the returned error.
+func runLane(lm *LaneMachine, in RunInput) (Stats, error) {
+	errs := []error{nil}
+	st, err := lm.RunLanes([]RunInput{in}, errs)
+	if err != nil {
+		return Stats{}, err
+	}
+	if errs[0] != nil {
+		return Stats{}, errs[0]
+	}
+	return st, nil
+}
+
+// TestCompiledMatchesInterpreter is the core differential check: the
+// compiled LaneMachine and the reference interpreter must agree on
+// outputs AND on the complete statistics structure for a spread of
+// random scalars, at width 1 and as one lane of a wider machine.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	prog, acc, table, _ := dblAddSetup(t, 21, sched.MethodList)
 	inputs := dblAddInputs(acc, table)
@@ -40,36 +58,39 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cp.NewMachine()
-	rng := mrand.New(mrand.NewSource(77))
-	for trial := 0; trial < 32; trial++ {
-		k := randScalar(rng)
-		dec := scalar.Decompose(k)
-		in := RunInput{Inputs: inputs, Rec: scalar.Recode(dec), Corrected: dec.Corrected}
+	for _, width := range laneWidths {
+		lm := cp.NewLaneMachine(width)
+		rng := mrand.New(mrand.NewSource(77))
+		for trial := 0; trial < 32; trial++ {
+			k := randScalar(rng)
+			dec := scalar.Decompose(k)
+			in := RunInput{Inputs: inputs, Rec: scalar.Recode(dec), Corrected: dec.Corrected}
 
-		wantOut, wantSt, err := Interpret(prog, in)
-		if err != nil {
-			t.Fatalf("trial %d: interpreter: %v", trial, err)
-		}
-		gotSt, err := m.Run(in)
-		if err != nil {
-			t.Fatalf("trial %d: compiled: %v", trial, err)
-		}
-		for name := range prog.OutputRegs {
-			r, _ := cp.OutputReg(name)
-			if !m.Reg(r).Equal(wantOut[name]) {
-				t.Fatalf("trial %d: output %q differs between compiled and interpreted", trial, name)
+			wantOut, wantSt, err := Interpret(prog, in)
+			if err != nil {
+				t.Fatalf("width %d trial %d: interpreter: %v", width, trial, err)
 			}
-		}
-		if !reflect.DeepEqual(gotSt, wantSt) {
-			t.Fatalf("trial %d: stats differ:\ncompiled:    %+v\ninterpreted: %+v", trial, gotSt, wantSt)
+			gotSt, err := runLane(lm, in)
+			if err != nil {
+				t.Fatalf("width %d trial %d: compiled: %v", width, trial, err)
+			}
+			for name := range prog.OutputRegs {
+				r, _ := cp.OutputReg(name)
+				if !lm.Reg(0, r).Equal(wantOut[name]) {
+					t.Fatalf("width %d trial %d: output %q differs between compiled and interpreted", width, trial, name)
+				}
+			}
+			if !reflect.DeepEqual(gotSt, wantSt) {
+				t.Fatalf("width %d trial %d: stats differ:\ncompiled:    %+v\ninterpreted: %+v", width, trial, gotSt, wantSt)
+			}
 		}
 	}
 }
 
-// TestCompiledMachineReuse checks that a reused machine carries no state
-// between runs: alternating scalars, bound-input runs, and an
-// interleaved slow-path (observed) run must all stay correct.
+// TestCompiledMachineReuse checks that a reused lane machine carries no
+// state between runs: alternating scalars and bound-input runs, with
+// every third run observed on a reused Interpreter handle, must all
+// stay correct.
 func TestCompiledMachineReuse(t *testing.T) {
 	prog, acc, table, _ := dblAddSetup(t, 22, sched.MethodBnB)
 	inputs := dblAddInputs(acc, table)
@@ -77,38 +98,44 @@ func TestCompiledMachineReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cp.NewMachine()
 	bound := boundInputs(t, cp, inputs)
-	rng := mrand.New(mrand.NewSource(88))
-	for trial := 0; trial < 12; trial++ {
-		k := randScalar(rng)
-		dec := scalar.Decompose(k)
-		in := RunInput{Bound: bound, Rec: scalar.Recode(dec), Corrected: dec.Corrected}
-		if trial%3 == 2 {
-			// Every third run takes the interpreted slow path on the same
-			// machine (an Observer forces it); it must neither corrupt nor
-			// be corrupted by the surrounding fast-path runs.
-			in.Observer = func(Event) {}
-		}
-		if _, err := m.Run(in); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		got := curve.Point{}
-		for name, dst := range map[string]*fp2.Element{
-			"x": &got.X, "y": &got.Y, "z": &got.Z, "ta": &got.Ta, "tb": &got.Tb,
-		} {
-			r, _ := cp.OutputReg(name)
-			*dst = m.Reg(r)
-		}
-		if !got.Equal(expectedDblAdd(acc, table, k)) {
-			t.Fatalf("trial %d: reused machine produced a wrong result", trial)
+	it := cp.NewInterpreter()
+	for _, width := range laneWidths {
+		lm := cp.NewLaneMachine(width)
+		rng := mrand.New(mrand.NewSource(88))
+		for trial := 0; trial < 12; trial++ {
+			k := randScalar(rng)
+			dec := scalar.Decompose(k)
+			in := RunInput{Bound: bound, Rec: scalar.Recode(dec), Corrected: dec.Corrected}
+			reg := func(r uint16) fp2.Element { return lm.Reg(0, r) }
+			if trial%3 == 2 {
+				// Every third run is observed, so it goes to the
+				// interpreter handle; neither path may disturb the other.
+				in.Observer = func(Event) {}
+				if _, err := it.Run(in); err != nil {
+					t.Fatalf("width %d trial %d: interpreter: %v", width, trial, err)
+				}
+				reg = it.Reg
+			} else if _, err := runLane(lm, in); err != nil {
+				t.Fatalf("width %d trial %d: %v", width, trial, err)
+			}
+			got := curve.Point{}
+			for name, dst := range map[string]*fp2.Element{
+				"x": &got.X, "y": &got.Y, "z": &got.Z, "ta": &got.Ta, "tb": &got.Tb,
+			} {
+				r, _ := cp.OutputReg(name)
+				*dst = reg(r)
+			}
+			if !got.Equal(expectedDblAdd(acc, table, k)) {
+				t.Fatalf("width %d trial %d: reused machine produced a wrong result", width, trial)
+			}
 		}
 	}
 }
 
-// TestObserverEventParity requires the event stream of a Machine run
-// with an Observer to be byte-identical — same events, same order — to
-// the reference interpreter's.
+// TestObserverEventParity requires the event stream of an observed run
+// on a reused Interpreter handle to be byte-identical — same events,
+// same order — to the one-shot reference interpreter's, run after run.
 func TestObserverEventParity(t *testing.T) {
 	prog, acc, table, k := dblAddSetup(t, 23, sched.MethodList)
 	inputs := dblAddInputs(acc, table)
@@ -130,31 +157,34 @@ func TestObserverEventParity(t *testing.T) {
 		_, _, err := Interpret(prog, in)
 		return err
 	})
+	if len(want) == 0 {
+		t.Fatal("no events observed")
+	}
 	cp, err := Compile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cp.NewMachine()
-	got := collect(func(in RunInput) error {
-		_, err := m.Run(in)
-		return err
-	})
-	if len(got) != len(want) {
-		t.Fatalf("event count %d, interpreter produced %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("event %d differs:\nmachine:     %+v\ninterpreter: %+v", i, got[i], want[i])
+	it := cp.NewInterpreter()
+	for run := 0; run < 2; run++ {
+		got := collect(func(in RunInput) error {
+			_, err := it.Run(in)
+			return err
+		})
+		if len(got) != len(want) {
+			t.Fatalf("run %d: event count %d, interpreter produced %d", run, len(got), len(want))
 		}
-	}
-	if len(want) == 0 {
-		t.Fatal("no events observed")
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: event %d differs:\nhandle:      %+v\ninterpreter: %+v", run, i, got[i], want[i])
+			}
+		}
 	}
 }
 
 // pokeInjector is a minimal fault injector: at one cycle it flips the
-// low bit of one register-file word. Used to check that a Machine run
-// with an Injector behaves identically to the reference interpreter.
+// low bit of one register-file word. Used to check that a reused
+// Interpreter handle with an Injector behaves identically to the
+// one-shot reference interpreter.
 type pokeInjector struct {
 	cycle int
 	reg   uint16
@@ -173,9 +203,10 @@ func (p *pokeInjector) Retire(_ int, _ uint8, _ uint16, v fp2.Element) fp2.Eleme
 	return v
 }
 
-// TestInjectorParity: a faulted Machine run must agree with a faulted
-// interpreter run — same (possibly corrupted) outputs, same stats, same
-// error — across a sweep of injection points.
+// TestInjectorParity: a faulted run on one reused Interpreter handle
+// must agree with a faulted one-shot Interpret run — same (possibly
+// corrupted) outputs, same stats, same error — across a sweep of
+// injection points.
 func TestInjectorParity(t *testing.T) {
 	prog, acc, table, k := dblAddSetup(t, 24, sched.MethodList)
 	inputs := dblAddInputs(acc, table)
@@ -184,7 +215,7 @@ func TestInjectorParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cp.NewMachine()
+	m := cp.NewInterpreter()
 	for cycle := 0; cycle <= prog.Makespan; cycle += 7 {
 		for reg := 0; reg < prog.NumRegs; reg += 11 {
 			mkIn := func() RunInput {
@@ -198,11 +229,11 @@ func TestInjectorParity(t *testing.T) {
 			wantOut, wantSt, wantErr := Interpret(prog, mkIn())
 			gotSt, gotErr := m.Run(mkIn())
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("cycle %d reg %d: error parity broken: machine=%v interpreter=%v", cycle, reg, gotErr, wantErr)
+				t.Fatalf("cycle %d reg %d: error parity broken: handle=%v interpreter=%v", cycle, reg, gotErr, wantErr)
 			}
 			if gotErr != nil {
 				if gotErr.Error() != wantErr.Error() {
-					t.Fatalf("cycle %d reg %d: errors differ: machine=%v interpreter=%v", cycle, reg, gotErr, wantErr)
+					t.Fatalf("cycle %d reg %d: errors differ: handle=%v interpreter=%v", cycle, reg, gotErr, wantErr)
 				}
 				continue
 			}
@@ -269,7 +300,8 @@ func TestCompileRejectsHazards(t *testing.T) {
 }
 
 // TestBoundInputCount: a Bound list that does not cover the program's
-// inputs exactly is rejected on both paths.
+// inputs exactly is rejected on both paths (as the lane's own error on
+// the compiled path).
 func TestBoundInputCount(t *testing.T) {
 	prog, acc, table, k := dblAddSetup(t, 26, sched.MethodList)
 	cp, err := Compile(prog)
@@ -279,34 +311,12 @@ func TestBoundInputCount(t *testing.T) {
 	dec := scalar.Decompose(k)
 	bound := boundInputs(t, cp, dblAddInputs(acc, table))[:3]
 	in := RunInput{Bound: bound, Rec: scalar.Recode(dec), Corrected: dec.Corrected}
-	if _, err := cp.NewMachine().Run(in); err == nil {
-		t.Error("fast path accepted a short Bound list")
+	for _, width := range laneWidths {
+		if _, err := runLane(cp.NewLaneMachine(width), in); err == nil {
+			t.Errorf("width %d: lane machine accepted a short Bound list", width)
+		}
 	}
 	if _, _, err := Interpret(prog, in); err == nil {
 		t.Error("interpreter accepted a short Bound list")
-	}
-}
-
-// TestFastPathZeroAllocs: the compiled fast path with bound inputs must
-// not touch the heap in steady state.
-func TestFastPathZeroAllocs(t *testing.T) {
-	prog, acc, table, k := dblAddSetup(t, 27, sched.MethodList)
-	cp, err := Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := cp.NewMachine()
-	dec := scalar.Decompose(k)
-	in := RunInput{Bound: boundInputs(t, cp, dblAddInputs(acc, table)), Rec: scalar.Recode(dec), Corrected: dec.Corrected}
-	if _, err := m.Run(in); err != nil { // warm-up validates the setup
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := m.Run(in); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("machine fast path allocates %.1f times per run, want 0", allocs)
 	}
 }

@@ -42,7 +42,7 @@ func TestFixedBaseOnRTL(t *testing.T) {
 	if cp.Stats().ROMReads == 0 {
 		t.Fatal("fixed-base program performs no ROM reads")
 	}
-	m := cp.NewMachine()
+	lm := cp.NewLaneMachine(1)
 	xr, _ := cp.OutputReg("x")
 	yr, _ := cp.OutputReg("y")
 
@@ -57,11 +57,11 @@ func TestFixedBaseOnRTL(t *testing.T) {
 	for i, k := range scalars {
 		rec, corrected := scalar.RecodeFixedBase(k)
 		in := RunInput{Rec: rec, Corrected: corrected}
-		if _, err := m.Run(in); err != nil {
+		if _, err := runLane(lm, in); err != nil {
 			t.Fatalf("scalar %d: %v", i, err)
 		}
 		want := curve.ScalarMult(k, curve.Generator()).Affine()
-		if !m.Reg(xr).Equal(want.X) || !m.Reg(yr).Equal(want.Y) {
+		if !lm.Reg(0, xr).Equal(want.X) || !lm.Reg(0, yr).Equal(want.Y) {
 			t.Fatalf("scalar %d: compiled fixed-base result differs from library", i)
 		}
 		// Interpreter differential: same outputs, same statistics (the

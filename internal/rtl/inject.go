@@ -63,8 +63,8 @@ type RegFile interface {
 	Poke(r uint16, v fp2.Element)
 }
 
-// regWindow adapts a machine to the RegFile view.
-type regWindow struct{ m *machine }
+// regWindow adapts an interpreter to the RegFile view.
+type regWindow struct{ m *Interpreter }
 
 func (w regWindow) NumRegs() int                 { return len(w.m.regs) }
 func (w regWindow) Written(r uint16) bool        { return int(r) < len(w.m.written) && w.m.written[r] }

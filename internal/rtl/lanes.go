@@ -21,13 +21,14 @@ import (
 // pipeline value slots are flat [entry*Width + lane] arrays, so the
 // per-op lane loop touches one contiguous row. Per-lane data — the
 // recoded digits driving table indexing, the dynamic sign commands, the
-// parity-correction selects — flows through the same pre-decoded
-// selects as the single-lane fast path.
+// parity-correction selects — flows through pre-decoded per-lane
+// selects. Width 1 is the degenerate batch: it is how a lone scalar
+// multiplication runs.
 //
 // Error handling is per lane: a residual runtime check failing in one
-// lane records that lane's error (byte-identical to the error the
-// single-lane Machine would return) and degrades only that lane; the
-// remaining lanes complete normally. This is sound because the checks
+// lane records that lane's error (byte-identical to the error the same
+// input gets at any other width or lane position) and degrades only
+// that lane; the remaining lanes complete normally. This is sound because the checks
 // depend only on the lane's own recoded digits, never on datapath
 // values, and the written-bits state is a property of the schedule —
 // shared by all lanes.
@@ -43,7 +44,8 @@ type LaneMachine struct {
 	// regs[int(r)*width+l].
 	regs []fp2.Element
 	// vals is one result row per scheduled op (the units' pipeline
-	// registers, like Machine.vals, widened per lane).
+	// registers: each op's completion cycle is static, so the
+	// interpreter's dynamic pipe slots collapse into a flat array).
 	vals []fp2.Element
 	// written is shared across lanes: instruction writes are statically
 	// addressed, so the written-bits state at any cycle is a schedule
@@ -90,8 +92,8 @@ func (lm *LaneMachine) Reg(lane int, r uint16) fp2.Element {
 // RunLanes executes one lockstep pass of the schedule over len(ins)
 // lanes (a partial final batch — fewer inputs than Width — is fine).
 // errs must have the same length as ins; on return errs[l] carries lane
-// l's failure, byte-identical to the error the single-lane Machine.Run
-// would have returned for the same input, or nil on success. A failing
+// l's failure, byte-identical to the error a width-1 run of the same
+// input returns, or nil on success. A failing
 // lane degrades only itself: the others complete and their outputs are
 // valid. The returned Stats are the program's precomputed statistics —
 // identical for every lane, because the schedule is data-independent
@@ -114,7 +116,7 @@ func (lm *LaneMachine) RunLanes(ins []RunInput, errs []error) (Stats, error) {
 	}
 	for l := range ins {
 		if ins[l].Observer != nil || ins[l].Injector != nil {
-			return Stats{}, fmt.Errorf("rtl: lane %d: lockstep execution does not support Observer or Injector (use Machine.Run)", l)
+			return Stats{}, fmt.Errorf("rtl: lane %d: lockstep execution does not support Observer or Injector (use an Interpreter)", l)
 		}
 		errs[l] = nil
 	}
@@ -133,9 +135,9 @@ func (lm *LaneMachine) RunLanes(ins []RunInput, errs []error) (Stats, error) {
 }
 
 // bindLane resets lane l's register column for a run: constants
-// reloaded, inputs bound. As on the single-lane fast path, registers
-// beyond those may hold values from the previous run; the compile-time
-// written proof (plus the shared residual checks) makes that safe.
+// reloaded, inputs bound. Registers beyond those may hold values from
+// the previous run; the compile-time written proof (plus the shared
+// residual checks) makes that safe.
 func (lm *LaneMachine) bindLane(l int, in *RunInput) error {
 	cp, w := lm.cp, lm.width
 	for _, c := range cp.consts {
@@ -164,8 +166,8 @@ func (lm *LaneMachine) bindLane(l int, in *RunInput) error {
 }
 
 // run is the lockstep cycle loop: write-back then issue each cycle, the
-// single-lane fast path's phase order with every per-op decision made
-// once and applied to all lanes.
+// interpreter's phase order with every per-op decision made once and
+// applied to all lanes.
 func (lm *LaneMachine) run() {
 	cp := lm.cp
 	ops := cp.ops
@@ -310,8 +312,8 @@ func (lm *LaneMachine) operandRow(o *cOperand, op *cOp, mulFwd, addFwd, buf []fp
 // laneRead loads one lane's runtime-selected register, recording the
 // lane's first residual-check failure. A failed lane keeps executing in
 // lockstep on placeholder data (the register file column it already
-// has) so the other lanes' schedule walk is undisturbed; its error —
-// identical to the single-lane Machine's — is what the caller sees.
+// has) so the other lanes' schedule walk is undisturbed; its error is
+// what the caller sees.
 func (lm *LaneMachine) laneRead(r uint16, l int, op *cOp, check bool) fp2.Element {
 	if check {
 		if int(r) >= lm.cp.prog.NumRegs {

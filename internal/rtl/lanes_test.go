@@ -2,6 +2,7 @@ package rtl
 
 import (
 	"errors"
+	"fmt"
 	mrand "math/rand"
 	"reflect"
 	"testing"
@@ -52,10 +53,10 @@ func newLaneFixture(t testing.TB, seed int64, lanes int) *laneFixture {
 	return f
 }
 
-// TestLaneMachineParity is the tentpole differential: an L-lane lockstep
-// run must produce, for every lane, outputs and Stats byte-identical to
-// L independent single-lane Machine.Run calls — across several reuses of
-// the same lane machine.
+// TestLaneMachineParity is the lockstep differential: an L-lane run
+// must produce, for every lane, outputs and Stats byte-identical to L
+// independent reference-interpreter runs — across several reuses of the
+// same lane machine.
 func TestLaneMachineParity(t *testing.T) {
 	const lanes = 5
 	for trial := 0; trial < 4; trial++ {
@@ -69,26 +70,26 @@ func TestLaneMachineParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d reuse %d: %v", trial, reuse, err)
 			}
-			m := f.cp.NewMachine()
+			m := f.cp.NewInterpreter()
 			for l := 0; l < lanes; l++ {
 				if errs[l] != nil {
 					t.Fatalf("trial %d lane %d: unexpected lane error: %v", trial, l, errs[l])
 				}
 				wantSt, err := m.Run(f.ins[l])
 				if err != nil {
-					t.Fatalf("trial %d lane %d: single-lane: %v", trial, l, err)
+					t.Fatalf("trial %d lane %d: interpreter: %v", trial, l, err)
 				}
 				if !reflect.DeepEqual(gotSt, wantSt) {
-					t.Fatalf("trial %d lane %d: stats differ:\nlanes:  %+v\nsingle: %+v", trial, l, gotSt, wantSt)
+					t.Fatalf("trial %d lane %d: stats differ:\nlanes:       %+v\ninterpreter: %+v", trial, l, gotSt, wantSt)
 				}
 				for name := range f.cp.Program().OutputRegs {
 					r, _ := f.cp.OutputReg(name)
 					if !lm.Reg(l, r).Equal(m.Reg(r)) {
-						t.Fatalf("trial %d lane %d: output %q differs from single-lane run", trial, l, name)
+						t.Fatalf("trial %d lane %d: output %q differs from the interpreter", trial, l, name)
 					}
 				}
 				// And the library-level truth, so lockstep cannot drift in
-				// sync with a broken single-lane path.
+				// sync with a broken interpreter.
 				want := expectedDblAdd(f.accs[l], f.tables[l], f.ks[l])
 				got := curve.Point{}
 				for name, dst := range map[string]*fp2.Element{
@@ -106,7 +107,8 @@ func TestLaneMachineParity(t *testing.T) {
 }
 
 // TestLaneMachinePartialBatch runs fewer lanes than the machine's width
-// (the engine's partial-final-batch shape) and checks parity for each.
+// (the engine's partial-final-batch shape) and checks parity with the
+// interpreter for each.
 func TestLaneMachinePartialBatch(t *testing.T) {
 	const width = 8
 	for _, n := range []int{1, 3, width} {
@@ -116,7 +118,7 @@ func TestLaneMachinePartialBatch(t *testing.T) {
 		if _, err := lm.RunLanes(f.ins, errs); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		m := f.cp.NewMachine()
+		m := f.cp.NewInterpreter()
 		for l := 0; l < n; l++ {
 			if errs[l] != nil {
 				t.Fatalf("n=%d lane %d: %v", n, l, errs[l])
@@ -184,8 +186,9 @@ func checkProgram(t testing.TB) (*CompiledProgram, RunInput) {
 }
 
 // TestLaneMachineErrorIsolation drives one lane into a residual-check
-// failure: that lane's error must be byte-identical to the single-lane
-// Machine's, and every other lane's output must be untouched.
+// failure: that lane's error must be byte-identical to a width-1 run's
+// (and a hazard to the interpreter too), and every other lane's output
+// must be untouched.
 func TestLaneMachineErrorIsolation(t *testing.T) {
 	cp, base := checkProgram(t)
 	mkIn := func(index uint8, sign int8) RunInput {
@@ -211,33 +214,35 @@ func TestLaneMachineErrorIsolation(t *testing.T) {
 		t.Fatalf("faulty lane error = %v, want an ErrHazard", errs[1])
 	}
 	outReg, _ := cp.OutputReg("out")
+	m := cp.NewInterpreter()
 	for _, l := range []int{0, 2} {
-		m := cp.NewMachine()
 		if _, err := m.Run(ins[l]); err != nil {
-			t.Fatalf("single-lane reference for lane %d: %v", l, err)
+			t.Fatalf("interpreter reference for lane %d: %v", l, err)
 		}
 		if !lm.Reg(l, outReg).Equal(m.Reg(outReg)) {
 			t.Fatalf("lane %d output corrupted by its neighbour's failure", l)
 		}
 	}
-	// Error parity: the failing lane's error string matches what the
-	// single-lane machine returns for the same input.
-	m := cp.NewMachine()
-	_, wantErr := m.Run(ins[1])
+	if _, err := m.Run(ins[1]); !errors.Is(err, ErrHazard) {
+		t.Fatalf("interpreter on the faulty lane's input: err = %v, want an ErrHazard", err)
+	}
+	// Error parity: the failing lane's error string matches what a
+	// width-1 machine returns for the same input.
+	_, wantErr := runLane(cp.NewLaneMachine(1), ins[1])
 	if wantErr == nil {
-		t.Fatal("single-lane reference unexpectedly succeeded")
+		t.Fatal("width-1 reference unexpectedly succeeded")
 	}
 	if errs[1].Error() != wantErr.Error() {
-		t.Fatalf("lane error %q != single-lane error %q", errs[1], wantErr)
+		t.Fatalf("lane error %q != width-1 error %q", errs[1], wantErr)
 	}
 }
 
 // TestMachineRunResetsResidualState is the reuse-safety regression for
-// the pooled-machine path the lane work extends: consecutive Run calls
-// on one Machine must fully reset the written bits and leave no stale
-// pipeline values behind — a success must not leak its write set into
-// the next run's residual checks, and an aborted run must not corrupt
-// the run after it.
+// pooled lane machines: consecutive runs on one machine must fully
+// reset the written bits and leave no stale pipeline values behind — a
+// success must not leak its write set into the next run's residual
+// checks, and an aborted run must not corrupt the run after it. Checked
+// at width 1 and as one lane of a wider machine.
 func TestMachineRunResetsResidualState(t *testing.T) {
 	cp, base := checkProgram(t)
 	good := base
@@ -245,29 +250,31 @@ func TestMachineRunResetsResidualState(t *testing.T) {
 	bad := base
 	bad.Rec.Index[0], bad.Rec.Sign[0] = 1, 1
 
-	m := cp.NewMachine()
-	// Run 1 succeeds and, in doing so, writes r2 (= T[1] coord 0).
-	if _, err := m.Run(good); err != nil {
-		t.Fatal(err)
-	}
-	// Run 2 selects T[1]: with correctly reset written bits this reads
-	// never-written r2 and must fail; a machine leaking run 1's write
-	// set would wrongly succeed on run 1's stale value.
-	if _, err := m.Run(bad); err == nil || !errors.Is(err, ErrHazard) {
-		t.Fatalf("reused machine did not reset written bits: err = %v", err)
-	}
-	// Run 3 after the aborted run must be bit-identical to a fresh
-	// machine: no pipeline value slot or register residue.
-	if _, err := m.Run(good); err != nil {
-		t.Fatal(err)
-	}
-	fresh := cp.NewMachine()
-	if _, err := fresh.Run(good); err != nil {
-		t.Fatal(err)
-	}
 	outReg, _ := cp.OutputReg("out")
-	if !m.Reg(outReg).Equal(fresh.Reg(outReg)) {
-		t.Fatal("run after an aborted run differs from a fresh machine")
+	for _, width := range laneWidths {
+		lm := cp.NewLaneMachine(width)
+		// Run 1 succeeds and, in doing so, writes r2 (= T[1] coord 0).
+		if _, err := runLane(lm, good); err != nil {
+			t.Fatal(err)
+		}
+		// Run 2 selects T[1]: with correctly reset written bits this reads
+		// never-written r2 and must fail; a machine leaking run 1's write
+		// set would wrongly succeed on run 1's stale value.
+		if _, err := runLane(lm, bad); err == nil || !errors.Is(err, ErrHazard) {
+			t.Fatalf("width %d: reused machine did not reset written bits: err = %v", width, err)
+		}
+		// Run 3 after the aborted run must be bit-identical to a fresh
+		// machine: no pipeline value slot or register residue.
+		if _, err := runLane(lm, good); err != nil {
+			t.Fatal(err)
+		}
+		fresh := cp.NewLaneMachine(width)
+		if _, err := runLane(fresh, good); err != nil {
+			t.Fatal(err)
+		}
+		if !lm.Reg(0, outReg).Equal(fresh.Reg(0, outReg)) {
+			t.Fatalf("width %d: run after an aborted run differs from a fresh machine", width)
+		}
 	}
 }
 
@@ -295,27 +302,31 @@ func TestLaneMachineRejectsMisuse(t *testing.T) {
 }
 
 // TestLaneMachineZeroAllocs pins the steady-state guarantee: a warm
-// lockstep run with caller-owned buffers allocates nothing.
+// lockstep run with caller-owned buffers allocates nothing, at width 1
+// (how a lone scalar multiplication runs) and at width 4.
 func TestLaneMachineZeroAllocs(t *testing.T) {
-	const lanes = 4
-	f := newLaneFixture(t, 71, lanes)
-	lm := f.cp.NewLaneMachine(lanes)
-	errs := make([]error, lanes)
-	if _, err := lm.RunLanes(f.ins, errs); err != nil { // warm-up
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := lm.RunLanes(f.ins, errs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("RunLanes allocates %.1f times per run, want 0", allocs)
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("width%d", lanes), func(t *testing.T) {
+			f := newLaneFixture(t, 71, lanes)
+			lm := f.cp.NewLaneMachine(lanes)
+			errs := make([]error, lanes)
+			if _, err := lm.RunLanes(f.ins, errs); err != nil { // warm-up
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := lm.RunLanes(f.ins, errs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("RunLanes allocates %.1f times per run, want 0", allocs)
+			}
+		})
 	}
 }
 
 // FuzzLaneMachineParity cross-checks lockstep execution against the
-// single-lane machine for random lane counts and scalars. The seed
+// reference interpreter for random lane counts and scalars. The seed
 // corpus covers the degenerate single lane and the full width.
 func FuzzLaneMachineParity(f *testing.F) {
 	const maxLanes = 8
@@ -328,7 +339,7 @@ func FuzzLaneMachineParity(f *testing.F) {
 	}
 	bound := boundInputs(f, cp, dblAddInputs(acc, table))
 	lm := cp.NewLaneMachine(maxLanes)
-	m := cp.NewMachine()
+	m := cp.NewInterpreter()
 	f.Fuzz(func(t *testing.T, lanes uint8, seed uint64) {
 		n := int(lanes%maxLanes) + 1
 		s := seed
@@ -361,7 +372,7 @@ func FuzzLaneMachineParity(f *testing.F) {
 			for name := range prog.OutputRegs {
 				r, _ := cp.OutputReg(name)
 				if !lm.Reg(l, r).Equal(m.Reg(r)) {
-					t.Fatalf("lane %d: output %q diverges from the single-lane machine", l, name)
+					t.Fatalf("lane %d: output %q diverges from the interpreter", l, name)
 				}
 			}
 		}

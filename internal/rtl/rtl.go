@@ -12,24 +12,26 @@
 //
 // Execution comes in two forms:
 //
-//   - Compile + Machine: an ahead-of-time pass (Compile) validates the
-//     immutable program once, hoists every data-independent check and
-//     statistic out of the cycle loop, and produces a dense execution
-//     plan; a reusable Machine then runs scalar multiplications with
-//     zero steady-state heap allocations. This mirrors the paper's
-//     hardware, whose ROM/FSM controller is fixed at tape-out: the
-//     schedule's structural properties are facts of the program, not of
-//     any particular run (Section III-C).
-//   - Interpret: the reference cycle-by-cycle interpreter, which decodes
-//     and checks every instruction as it executes. It is the semantic
-//     baseline the compiled plan is differentially tested against, and
-//     the path every observed (Observer) or fault-injected (Injector)
-//     run takes, so event ordering and injection hook semantics are
-//     byte-for-byte those of the original interpreter.
+//   - Compile + LaneMachine: an ahead-of-time pass (Compile) validates
+//     the immutable program once, hoists every data-independent check
+//     and statistic out of the cycle loop, and produces a dense
+//     execution plan; a reusable LaneMachine then runs it for 1..Width
+//     scalar multiplications in lockstep with zero steady-state heap
+//     allocations. This mirrors the paper's hardware, whose ROM/FSM
+//     controller is fixed at tape-out: the schedule's structural
+//     properties are facts of the program, not of any particular run
+//     (Section III-C), so one SM is exactly a width-1 batch. It is the
+//     only executor of a CompiledProgram.
+//   - The interpreter (Interpret, or a reusable Interpreter from
+//     CompiledProgram.NewInterpreter): the reference cycle-by-cycle
+//     model, which decodes and checks every instruction as it executes.
+//     It is the semantic baseline the compiled plan is differentially
+//     tested against, and the path every observed (Observer) or
+//     fault-injected (Injector) run takes.
 //
 // Run remains the convenience entry point: it compiles the program and
-// executes it on a fresh machine, dispatching to the fast compiled loop
-// when no Observer or Injector is attached.
+// executes it on a width-1 LaneMachine, or on the interpreter when an
+// Observer or Injector is attached.
 package rtl
 
 import (
@@ -108,10 +110,10 @@ type Event struct {
 // Stats summarizes an execution.
 //
 // Every field is a property of the schedule, not of the data flowing
-// through it (the fixed-FSM design's side-channel guarantee), so the
-// compiled fast path precomputes the whole struct at Compile time. On
-// that path IssuesByOpcode is a single map shared by every run of the
-// program — treat it as read-only.
+// through it (the fixed-FSM design's side-channel guarantee), so
+// Compile precomputes the whole struct once. On the compiled
+// (LaneMachine) path IssuesByOpcode is a single map shared by every run
+// of the program — treat it as read-only.
 type Stats struct {
 	Cycles         int
 	MulIssues      int
@@ -190,10 +192,13 @@ type pipeSlot struct {
 	value      fp2.Element
 }
 
-// machine is the interpreter's datapath state. Buffers are reusable
-// across runs (run resets them), which is how Machine's slow path avoids
-// re-allocating when an Observer or Injector forces interpretation.
-type machine struct {
+// Interpreter is a reusable handle on the reference interpreter. Every
+// Run resets its written bits, pipeline slots and statistics (a stale
+// register word is unreadable until rewritten), so fault campaigns and
+// observed runs reuse one handle instead of rebuilding its buffers and
+// per-cycle instruction buckets per run. An Interpreter is NOT safe for
+// concurrent use.
+type Interpreter struct {
 	prog         *isa.Program
 	regs         []fp2.Element
 	written      []bool
@@ -208,14 +213,24 @@ type machine struct {
 // newInterpreter builds interpreter state for p. byCycle groups the
 // instruction stream by issue cycle, preserving the program's intra-cycle
 // order (which fixes the observer event order within a cycle).
-func newInterpreter(p *isa.Program) *machine {
-	return &machine{
+func newInterpreter(p *isa.Program, byCycle [][]isa.Instr) *Interpreter {
+	return &Interpreter{
 		prog:    p,
 		regs:    make([]fp2.Element, p.NumRegs),
 		written: make([]bool, p.NumRegs),
-		byCycle: buildByCycle(p),
+		byCycle: byCycle,
 	}
 }
+
+// NewInterpreter returns a reusable interpreter over the compiled
+// program's source, sharing its per-cycle instruction buckets.
+func (cp *CompiledProgram) NewInterpreter() *Interpreter {
+	return newInterpreter(cp.prog, cp.byCycle)
+}
+
+// Reg reads a register-file word (no port accounting) after Run;
+// resolve output registers once with CompiledProgram.OutputReg.
+func (m *Interpreter) Reg(r uint16) fp2.Element { return m.regs[r] }
 
 // buildByCycle groups instructions by issue cycle in program order.
 func buildByCycle(p *isa.Program) [][]isa.Instr {
@@ -228,17 +243,29 @@ func buildByCycle(p *isa.Program) [][]isa.Instr {
 
 // Run executes the program and returns the named outputs. It is a thin
 // compile-then-execute wrapper: the program is validated and planned
-// once (Compile), then run on a fresh Machine — the fast compiled loop
-// when no Observer/Injector is attached, the reference interpreter
-// otherwise. Callers executing the same program many times should
-// Compile once and reuse a Machine instead.
+// once (Compile), then run on a width-1 LaneMachine — or on the
+// reference interpreter when an Observer or Injector is attached.
+// Callers executing the same program many times should Compile once and
+// reuse a LaneMachine instead.
 func Run(p *isa.Program, in RunInput) (map[string]fp2.Element, Stats, error) {
 	cp, err := Compile(p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	m := cp.NewMachine()
-	st, err := m.Run(in)
+	var st Stats
+	var reg func(uint16) fp2.Element
+	if in.Observer != nil || in.Injector != nil {
+		m := cp.NewInterpreter()
+		st, err = m.Run(in)
+		reg = m.Reg
+	} else {
+		lm := cp.NewLaneMachine(1)
+		errs := []error{nil}
+		if st, err = lm.RunLanes([]RunInput{in}, errs); err == nil {
+			err = errs[0]
+		}
+		reg = func(r uint16) fp2.Element { return lm.Reg(0, r) }
+	}
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -246,8 +273,8 @@ func Run(p *isa.Program, in RunInput) (map[string]fp2.Element, Stats, error) {
 	// predates that, so hand each caller an independent copy.
 	st.IssuesByOpcode = cloneOpcodeMap(st.IssuesByOpcode)
 	out := make(map[string]fp2.Element, len(p.OutputRegs))
-	for name, reg := range p.OutputRegs {
-		out[name] = m.Reg(reg)
+	for name, r := range p.OutputRegs {
+		out[name] = reg(r)
 	}
 	return out, st, nil
 }
@@ -263,15 +290,16 @@ func cloneOpcodeMap(src map[string]int) map[string]int {
 // Interpret executes the program on the reference cycle-by-cycle
 // interpreter, bypassing the compiled plan entirely. It is the semantic
 // baseline: the differential suite runs scalars through both Interpret
-// and the compiled Machine and requires identical outputs, statistics,
-// observer event streams and injection behavior. It allocates per call;
-// use Compile + Machine for steady-state execution.
+// and the compiled LaneMachine and requires identical outputs and
+// statistics. It allocates per call; use Compile + LaneMachine for
+// steady-state execution, or CompiledProgram.NewInterpreter for
+// repeated observed or fault-injected runs.
 func Interpret(p *isa.Program, in RunInput) (map[string]fp2.Element, Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	m := newInterpreter(p)
-	st, err := m.run(in)
+	m := newInterpreter(p, buildByCycle(p))
+	st, err := m.Run(in)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -282,10 +310,11 @@ func Interpret(p *isa.Program, in RunInput) (map[string]fp2.Element, Stats, erro
 	return out, st, nil
 }
 
-// run executes one interpreted pass over the program, resetting the
-// machine's reusable buffers first. The caller has already validated the
-// program.
-func (m *machine) run(in RunInput) (Stats, error) {
+// Run executes one interpreted pass over the program, resetting the
+// interpreter's reusable buffers first. The program was validated when
+// the handle was built. The returned Stats carry a fresh IssuesByOpcode
+// map per run.
+func (m *Interpreter) Run(in RunInput) (Stats, error) {
 	p := m.prog
 	m.in = in
 	m.stats = Stats{}
@@ -443,7 +472,7 @@ func isFwd(op isa.Operand) bool {
 
 // writeback retires results whose completion is this cycle; it returns
 // the unit output-port values for the forwarding network.
-func (m *machine) writeback(cycle int) (mulOut, addOut *fp2.Element, err error) {
+func (m *Interpreter) writeback(cycle int) (mulOut, addOut *fp2.Element, err error) {
 	writes := 0
 	retire := func(pipe []pipeSlot, unit uint8) ([]pipeSlot, *fp2.Element, error) {
 		var out *fp2.Element
@@ -502,7 +531,7 @@ func (m *machine) writeback(cycle int) (mulOut, addOut *fp2.Element, err error) 
 
 // resolve produces the operand value and the number of register-file
 // read ports it consumed.
-func (m *machine) resolve(cycle int, ins isa.Instr, op isa.Operand, mulOut, addOut *fp2.Element) (fp2.Element, int, error) {
+func (m *Interpreter) resolve(cycle int, ins isa.Instr, op isa.Operand, mulOut, addOut *fp2.Element) (fp2.Element, int, error) {
 	readReg := func(r uint16) (fp2.Element, error) {
 		if int(r) >= len(m.regs) {
 			return fp2.Element{}, fmt.Errorf("%w: register %d out of range", ErrHazard, r)
@@ -598,7 +627,7 @@ func (m *machine) resolve(cycle int, ins isa.Instr, op isa.Operand, mulOut, addO
 
 // addsub executes the adder with per-lane commands, resolving dynamic
 // sign commands from the recoded digits / correction flag.
-func (m *machine) addsub(ins isa.Instr, a, b fp2.Element) (fp2.Element, error) {
+func (m *Interpreter) addsub(ins isa.Instr, a, b fp2.Element) (fp2.Element, error) {
 	cmdRe, cmdIm := ins.CmdRe, ins.CmdIm
 	if ins.CmdMode == isa.CmdDynSign {
 		neg := false
