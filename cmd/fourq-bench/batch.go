@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/engine"
 	"repro/internal/scalar"
@@ -147,14 +148,14 @@ func (b *bench) batch() error {
 	}
 
 	// Engine point: the same lockstep path reached through request
-	// coalescing, with the engine's oracle (Verify mode) on every
+	// coalescing, with the engine's oracle (core.ValidateOracle) on every
 	// result.
 	const sms = 32
 	e := engine.NewWithProcessor(p, engine.Options{
 		Workers:    1,
 		QueueDepth: sms,
 		LaneWidth:  engineLaneWidth,
-		Verify:     true,
+		Validate:   core.ValidateOracle,
 	})
 	reqs := make([]engine.Request, sms)
 	for i := range reqs {

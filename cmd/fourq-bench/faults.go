@@ -49,7 +49,7 @@ func (b *bench) faults() error {
 	fmt.Printf("detection coverage (detected / architecturally effective): %.1f%%\n",
 		100*rep.DetectionCoverage)
 	if rep.Silent > 0 {
-		fmt.Printf("silent corruptions: %d — caught only by the differential oracle (engine Verify mode)\n", rep.Silent)
+		fmt.Printf("silent corruptions: %d — caught only by the differential oracle (core.ValidateOracle)\n", rep.Silent)
 	}
 	snap := reg.Snapshot()
 	fmt.Printf("fault.fired=%d fault.squashed_slots=%d\n",

@@ -3,11 +3,9 @@ package main
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/curve"
-	"repro/internal/jobshop"
 	"repro/internal/rtl"
 	"repro/internal/scalar"
 	"repro/internal/sched"
@@ -57,80 +55,22 @@ func (b *bench) fixedbase() error {
 	if err != nil {
 		return err
 	}
-	res := sched.DefaultResources()
 	nOps := len(tr.Graph.Ops)
 	fmt.Printf("fixed-base comb trace: %d GF(p^2) operations, %d ROM windows\n",
 		nOps, len(tr.Graph.ROM))
-
-	solve := func(opts sched.Options) (schedSolverRow, *sched.Result, *rtl.CompiledProgram, error) {
-		t0 := time.Now()
-		r, err := sched.Schedule(tr.Graph, res, opts)
-		if err != nil {
-			return schedSolverRow{}, nil, nil, err
-		}
-		dt := time.Since(t0)
-		cp, err := rtl.Compile(r.Program)
-		if err != nil {
-			return schedSolverRow{}, nil, nil, fmt.Errorf("%s comb program failed hazard compilation: %w", r.Solver, err)
-		}
-		st := cp.Stats()
-		return schedSolverRow{
-			Solver:         r.Solver,
-			Makespan:       r.Makespan,
-			MulUtilization: st.MulUtilization,
-			AddUtilization: st.AddUtilization,
-			StallCycles:    st.StallCycles,
-			SolveSeconds:   dt.Seconds(),
-		}, r, cp, nil
-	}
-
-	single, singleR, _, err := solve(sched.Options{Method: sched.MethodList})
+	h, err := solveHeadToHead(tr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("single (list): %d cycles in %.2fs (lower bound %d)\n",
-		single.Makespan, single.SolveSeconds, singleR.LowerBound)
-
-	popts := sched.Options{
-		Method:    sched.MethodPortfolio,
-		Seed:      benchSchedSeed,
-		Portfolio: benchPortfolioKnobs(),
-		Progress: func(p jobshop.Progress) {
-			if p.Kind == jobshop.ProgressIncumbent && p.Iteration > 0 {
-				fmt.Printf("  portfolio round %d: incumbent %d cycles\n", p.Iteration, p.Makespan)
-			}
-		},
-	}
-	portfolio, portfolioR, cp, err := solve(popts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("portfolio: %d cycles in %.2fs (%d improvements over %d rounds, hash %016x)\n",
-		portfolio.Makespan, portfolio.SolveSeconds, portfolioR.Improvements,
-		popts.Portfolio.Rounds, portfolioR.ScheduleHash)
-
-	// Determinism cross-check: a second solve with identical options
-	// must land on the identical schedule.
-	popts.Progress = nil
-	rerun, rerunR, _, err := solve(popts)
-	if err != nil {
-		return err
-	}
-	deterministic := rerunR.ScheduleHash == portfolioR.ScheduleHash && rerun.Makespan == portfolio.Makespan
-	if !deterministic {
-		return fmt.Errorf("portfolio not deterministic: %016x/%d vs %016x/%d",
-			portfolioR.ScheduleHash, portfolio.Makespan, rerunR.ScheduleHash, rerun.Makespan)
-	}
-	fmt.Println("determinism: second run reproduced the schedule bit for bit")
 
 	// Differential validation of the portfolio-compiled comb against the
 	// library's precomputed-table path, covering the correction (even,
 	// zero) and reduction (>= N) edges.
 	tbl := curve.NewFixedBaseTable(curve.Generator())
-	lm := cp.NewLaneMachine(1)
+	lm := h.cp.NewLaneMachine(1)
 	errs := []error{nil}
-	xr, okX := cp.OutputReg("x")
-	yr, okY := cp.OutputReg("y")
+	xr, okX := h.cp.OutputReg("x")
+	yr, okY := h.cp.OutputReg("y")
 	if !okX || !okY {
 		return fmt.Errorf("comb program misses its x/y outputs")
 	}
@@ -159,36 +99,31 @@ func (b *bench) fixedbase() error {
 	if err != nil {
 		return err
 	}
-	vr, err := sched.Schedule(vtr.Graph, res, sched.Options{Method: sched.MethodList})
+	vr, err := sched.Schedule(vtr.Graph, sched.DefaultResources(), sched.Options{Method: sched.MethodList})
 	if err != nil {
 		return err
 	}
-	ratio := float64(portfolio.Makespan) / float64(vr.Makespan)
+	ratio := float64(h.portfolio.Makespan) / float64(vr.Makespan)
 
-	st := cp.Stats()
-	fmt.Printf("\n%-12s %-10s %-10s %-10s %-8s %s\n", "solver", "makespan", "mul-util", "add-util", "stalls", "solve[s]")
-	for _, row := range []schedSolverRow{single, portfolio} {
-		fmt.Printf("%-12s %-10d %-10.1f %-10.1f %-8d %.2f\n",
-			row.Solver, row.Makespan, 100*row.MulUtilization, 100*row.AddUtilization,
-			row.StallCycles, row.SolveSeconds)
-	}
+	st := h.cp.Stats()
+	h.printTable()
 	fmt.Printf("comb vs variable-base: %d vs %d cycles (%.2fx) with %d ROM reads over %d windows\n",
-		portfolio.Makespan, vr.Makespan, ratio, st.ROMReads, len(tr.Graph.ROM))
+		h.portfolio.Makespan, vr.Makespan, ratio, st.ROMReads, len(tr.Graph.ROM))
 
 	b.rep.add("fixedbase", fixedBaseResult{
 		TraceOps:             nOps,
 		ROMWindows:           len(tr.Graph.ROM),
 		ROMReads:             st.ROMReads,
-		LowerBound:           portfolioR.LowerBound,
-		Single:               single,
-		Portfolio:            portfolio,
+		LowerBound:           h.portfolioR.LowerBound,
+		Single:               h.single,
+		Portfolio:            h.portfolio,
 		VariableBaseMakespan: vr.Makespan,
 		Ratio:                ratio,
-		Improvements:         portfolioR.Improvements,
-		Rounds:               popts.Portfolio.Rounds,
+		Improvements:         h.portfolioR.Improvements,
+		Rounds:               h.rounds,
 		Seed:                 benchSchedSeed,
-		ScheduleHash:         fmt.Sprintf("%016x", portfolioR.ScheduleHash),
-		Deterministic:        deterministic,
+		ScheduleHash:         fmt.Sprintf("%016x", h.portfolioR.ScheduleHash),
+		Deterministic:        true,
 		Validated:            len(vScalars),
 	})
 	return nil

@@ -380,7 +380,7 @@ func (b *bench) latency() error {
 	if err := p.Verify(2, 7); err != nil {
 		return err
 	}
-	fmt.Println("RTL-vs-library verification: 2/2 scalar multiplications bit-exact")
+	fmt.Println("RTL-vs-library verification: 2/2 scalar multiplications bit-exact on every program")
 
 	// Host-side single-thread SM/s, compiled execution plan vs the
 	// reference interpreter: the measured win of the ahead-of-time

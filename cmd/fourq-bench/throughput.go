@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/scalar"
 )
@@ -20,7 +21,7 @@ type throughputPoint struct {
 	// Speedup is SMPerSec relative to the 1-worker baseline.
 	Speedup float64 `json:"speedup"`
 	// OracleOK records that every result was cross-checked against the
-	// functional curve model (engine Verify mode) and matched.
+	// functional curve model (core.ValidateOracle) and matched.
 	OracleOK bool `json:"oracle_ok"`
 }
 
@@ -102,7 +103,7 @@ func (b *bench) throughput() error {
 		e := engine.NewWithProcessor(proc, engine.Options{
 			Workers:    w,
 			QueueDepth: res.QueueDepth,
-			Verify:     true,
+			Validate:   core.ValidateOracle,
 		})
 		t0 := time.Now()
 		out, err := e.SubmitBatch(ctx, reqs)

@@ -115,7 +115,7 @@ func run(kHex string, vdd float64, trials int, vcdPath, powerCSV string) error {
 		st.Cycles, st.MulIssues, st.AddIssues, st.ForwardedReads, st.RegWrites)
 
 	if trials > 0 {
-		fmt.Printf("verifying %d random scalars...\n", trials)
+		fmt.Printf("verifying %d random scalars on every program...\n", trials)
 		if err := p.Verify(trials, 424242); err != nil {
 			return err
 		}

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/curve"
-	"repro/internal/fp2"
 	"repro/internal/gates"
 	"repro/internal/isa"
 	"repro/internal/power"
@@ -49,8 +48,8 @@ type Config struct {
 	// back to the variable-base program when it is disabled.
 	FixedBase bool
 	// Telemetry, when non-nil, receives wall-clock timing spans for each
-	// phase of the build pipeline (functional and endo-workload
-	// trace recording and scheduling) on trace track 0, viewable in
+	// phase of the build pipeline (trace recording, scheduling and
+	// compilation of every program) on trace track 0, viewable in
 	// Perfetto next to the cycle-domain datapath timeline.
 	Telemetry *telemetry.Recorder
 }
@@ -58,39 +57,28 @@ type Config struct {
 // Processor is a scheduled instance of the FourQ ASIC model.
 type Processor struct {
 	cfg Config
-	// Functional program: full Algorithm 1 including the doubling-chain
-	// step 1 (what the RTL actually executes bit-true).
-	funcProg   *isa.Program
-	funcResult *sched.Result
-	// Endo-workload program: step 1 outputs supplied as inputs, matching
-	// the paper's workload shape; its makespan + EndoStepCycles is the
-	// paper-comparable cycle count.
-	endoProg   *isa.Program
-	endoResult *sched.Result
-	// Fixed-base comb program for [k]G (nil unless Config.FixedBase):
-	// window tables in constants + ROM, no external inputs.
-	fbProg   *isa.Program
-	fbResult *sched.Result
-	stats    trace.Stats
-	sections []SectionSpan
-	// Compiled execution plans (rtl.Compile output) for both programs,
-	// built once at New: the paper's chip fixes its ROM/FSM controller at
-	// tape-out, and the model mirrors that by discharging validation,
-	// hazard analysis and statistics ahead of every run.
-	funcCompiled *rtl.CompiledProgram
-	endoCompiled *rtl.CompiledProgram
-	fbCompiled   *rtl.CompiledProgram
-	// Pre-resolved input/output registers ({P.x, P.y} -> {x, y} for the
-	// functional program, P0..P3 coordinates for the endo workload), so
-	// runs bind operands without building maps.
-	funcIn  [2]uint16
-	funcOut [2]uint16
-	endoIn  [8]uint16
-	endoOut [2]uint16
-	fbOut   [2]uint16
+	// progs holds one built row per entry of the program table (rows
+	// Config did not ask for stay zero: compiled == nil).
+	progs [numPrograms]program
 	// execs pools Executors for the Processor-level convenience entry
 	// points; per-worker callers own an Executor instead.
 	execs sync.Pool
+}
+
+// program is one built microprogram: its schedule, the compiled
+// execution plan (rtl.Compile output, built once at New: the paper's
+// chip fixes its ROM/FSM controller at tape-out, and the model mirrors
+// that by discharging validation, hazard analysis and statistics ahead
+// of every run), its input and output registers resolved in advance so
+// runs bind operands without building maps, and the trace statistics
+// the reports quote.
+type program struct {
+	result   *sched.Result
+	compiled *rtl.CompiledProgram
+	in       []uint16
+	out      [2]uint16
+	stats    trace.Stats
+	sections []SectionSpan
 }
 
 // SectionSpan reports where a trace section landed in the schedule.
@@ -105,10 +93,15 @@ type SectionSpan struct {
 // (multibase, table build, main loop, finalize), showing how the global
 // scheduler overlaps them.
 func (p *Processor) SectionTiming() []SectionSpan {
-	return p.sections
+	return p.progs[ProgramVariableBase].sections
 }
 
-// New builds, schedules and verifies a processor instance.
+// New builds, schedules and verifies a processor instance: the
+// trace -> schedule -> compile -> resolve flow for every program of the
+// table that cfg asks for. Every program is traced and scheduled before
+// any is compiled, so no compiled plan is held while a later trace is
+// recorded: that keeps the build's peak heap, and with it a server's
+// resident set, at what the traces alone need.
 func New(cfg Config) (*Processor, error) {
 	if cfg.Resources == (sched.Resources{}) {
 		cfg.Resources = sched.DefaultResources()
@@ -117,113 +110,19 @@ func New(cfg Config) (*Processor, error) {
 		cfg.TraceScalar = DefaultTraceScalar()
 	}
 	p := &Processor{cfg: cfg}
-
-	// phase wraps one pipeline step in a wall-clock telemetry span (a
-	// no-op without a recorder).
-	phase := func(name string, args map[string]any, f func() error) error {
-		var sp *telemetry.Span
-		if cfg.Telemetry != nil {
-			sp = cfg.Telemetry.StartSpan(0, name, "core.pipeline")
+	for id := range programs {
+		if en := programs[id].enabled; en != nil && !en(cfg) {
+			continue
 		}
-		err := f()
-		if sp != nil {
-			sp.End(args)
-		}
-		return err
-	}
-
-	g := curve.GeneratorAffine()
-	var funcTr *trace.ScalarMultTrace
-	if err := phase("trace/functional", nil, func() (err error) {
-		funcTr, err = trace.BuildScalarMult(cfg.TraceScalar, g)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: trace: %w", err)
-	}
-	p.stats = funcTr.Graph.Stats()
-	var fr *sched.Result
-	if err := phase("schedule/functional", map[string]any{"ops": len(funcTr.Graph.Ops)}, func() (err error) {
-		fr, err = sched.Schedule(funcTr.Graph, cfg.Resources, cfg.Sched)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: schedule: %w", err)
-	}
-	p.funcProg, p.funcResult = fr.Program, fr
-	p.sections = sectionSpans(funcTr, fr, cfg.Resources)
-
-	mb := curve.NewMultiBase(curve.Generator())
-	var bases [4]curve.Affine
-	for j := 0; j < 4; j++ {
-		bases[j] = mb.P[j].Affine()
-	}
-	var endoTr *trace.ScalarMultTrace
-	if err := phase("trace/endo", nil, func() (err error) {
-		endoTr, err = trace.BuildScalarMultWithBases(cfg.TraceScalar, bases)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: endo trace: %w", err)
-	}
-	var er *sched.Result
-	if err := phase("schedule/endo", map[string]any{"ops": len(endoTr.Graph.Ops)}, func() (err error) {
-		er, err = sched.Schedule(endoTr.Graph, cfg.Resources, cfg.Sched)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: endo schedule: %w", err)
-	}
-	p.endoProg, p.endoResult = er.Program, er
-
-	if cfg.FixedBase {
-		var fbTr *trace.ScalarMultTrace
-		if err := phase("trace/fixedbase", nil, func() (err error) {
-			fbTr, err = trace.BuildFixedBaseScalarMult(cfg.TraceScalar, g)
-			return err
-		}); err != nil {
-			return nil, fmt.Errorf("core: fixed-base trace: %w", err)
-		}
-		var fbr *sched.Result
-		if err := phase("schedule/fixedbase", map[string]any{"ops": len(fbTr.Graph.Ops)}, func() (err error) {
-			fbr, err = sched.Schedule(fbTr.Graph, cfg.Resources, cfg.Sched)
-			return err
-		}); err != nil {
-			return nil, fmt.Errorf("core: fixed-base schedule: %w", err)
-		}
-		p.fbProg, p.fbResult = fbr.Program, fbr
-	}
-
-	// Ahead-of-time compilation of both microprograms: one-time
-	// validation + static hazard analysis + precomputed statistics.
-	if err := phase("compile/functional", map[string]any{"instrs": len(p.funcProg.Instrs)}, func() (err error) {
-		p.funcCompiled, err = rtl.Compile(p.funcProg)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: compile: %w", err)
-	}
-	if err := phase("compile/endo", map[string]any{"instrs": len(p.endoProg.Instrs)}, func() (err error) {
-		p.endoCompiled, err = rtl.Compile(p.endoProg)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: endo compile: %w", err)
-	}
-	if p.fbProg != nil {
-		if err := phase("compile/fixedbase", map[string]any{"instrs": len(p.fbProg.Instrs)}, func() (err error) {
-			p.fbCompiled, err = rtl.Compile(p.fbProg)
-			return err
-		}); err != nil {
-			return nil, fmt.Errorf("core: fixed-base compile: %w", err)
+		if err := p.schedule(ProgramID(id)); err != nil {
+			return nil, err
 		}
 	}
-	if err := resolveRegs(p.funcCompiled, []string{"P.x", "P.y"}, p.funcIn[:], []string{"x", "y"}, p.funcOut[:]); err != nil {
-		return nil, err
-	}
-	endoNames := make([]string, 0, 8)
-	for j := 0; j < 4; j++ {
-		endoNames = append(endoNames, fmt.Sprintf("P%d.x", j), fmt.Sprintf("P%d.y", j))
-	}
-	if err := resolveRegs(p.endoCompiled, endoNames, p.endoIn[:], []string{"x", "y"}, p.endoOut[:]); err != nil {
-		return nil, err
-	}
-	if p.fbCompiled != nil {
-		if err := resolveRegs(p.fbCompiled, nil, nil, []string{"x", "y"}, p.fbOut[:]); err != nil {
+	for id := range p.progs {
+		if p.progs[id].result == nil {
+			continue
+		}
+		if err := p.compile(ProgramID(id)); err != nil {
 			return nil, err
 		}
 	}
@@ -231,24 +130,77 @@ func New(cfg Config) (*Processor, error) {
 	return p, nil
 }
 
-// resolveRegs resolves named program inputs and outputs to registers.
-func resolveRegs(cp *rtl.CompiledProgram, inNames []string, in []uint16, outNames []string, out []uint16) error {
-	if cp.NumInputs() != len(inNames) {
-		return fmt.Errorf("core: program has %d inputs, expected %d", cp.NumInputs(), len(inNames))
+// phase runs one pipeline step of program id, wrapped in a wall-clock
+// telemetry span (a no-op without a recorder).
+func (p *Processor) phase(id ProgramID, step string, args map[string]any, f func() error) error {
+	name := programs[id].phase
+	var sp *telemetry.Span
+	if p.cfg.Telemetry != nil {
+		sp = p.cfg.Telemetry.StartSpan(0, step+"/"+name, "core.pipeline")
 	}
-	for i, name := range inNames {
+	err := f()
+	if sp != nil {
+		sp.End(args)
+	}
+	if err != nil {
+		return fmt.Errorf("core: %s %s: %w", name, step, err)
+	}
+	return nil
+}
+
+// schedule records program id's trace and schedules it into its row.
+func (p *Processor) schedule(id ProgramID) error {
+	var tr *trace.ScalarMultTrace
+	if err := p.phase(id, "trace", nil, func() (err error) {
+		tr, err = programs[id].build(p.cfg.TraceScalar)
+		return err
+	}); err != nil {
+		return err
+	}
+	pr := &p.progs[id]
+	if err := p.phase(id, "schedule", map[string]any{"ops": len(tr.Graph.Ops)}, func() (err error) {
+		pr.result, err = sched.Schedule(tr.Graph, p.cfg.Resources, p.cfg.Sched)
+		return err
+	}); err != nil {
+		return err
+	}
+	pr.stats, pr.sections = tr.Graph.Stats(), sectionSpans(tr, pr.result, p.cfg.Resources)
+	return nil
+}
+
+// compile compiles program id's schedule and resolves its registers.
+func (p *Processor) compile(id ProgramID) error {
+	pr := &p.progs[id]
+	if err := p.phase(id, "compile", map[string]any{"instrs": len(pr.result.Program.Instrs)}, func() (err error) {
+		pr.compiled, err = rtl.Compile(pr.result.Program)
+		return err
+	}); err != nil {
+		return err
+	}
+	return pr.resolve(programs[id].inputs)
+}
+
+// resolve looks up the registers of the program's named inputs and of
+// its x/y outputs.
+func (pr *program) resolve(inputs []string) error {
+	cp := pr.compiled
+	if cp.NumInputs() != len(inputs) {
+		return fmt.Errorf("core: program has %d inputs, expected %d", cp.NumInputs(), len(inputs))
+	}
+	pr.in = make([]uint16, len(inputs))
+	for i, name := range inputs {
 		r, ok := cp.InputReg(name)
 		if !ok {
 			return fmt.Errorf("core: program missing input %q", name)
 		}
-		in[i] = r
+		pr.in[i] = r
 	}
-	for i, name := range outNames {
+	for i, name := range []string{"x", "y"} {
 		r, ok := cp.OutputReg(name)
 		if !ok {
 			return fmt.Errorf("core: program missing output %q", name)
 		}
-		out[i] = r
+		pr.out[i] = r
 	}
 	return nil
 }
@@ -283,80 +235,74 @@ func sectionSpans(tr *trace.ScalarMultTrace, r *sched.Result, res sched.Resource
 
 // CyclesFunctional is the cycle count of the bit-true program (includes
 // the 192 substitution doublings of step 1).
-func (p *Processor) CyclesFunctional() int { return p.funcProg.Makespan }
+func (p *Processor) CyclesFunctional() int { return p.Program().Makespan }
 
 // CyclesEndoModeled is the paper-comparable cycle count: the scheduled
 // makespan of Algorithm 1 with step 1's endomorphism cost modelled.
-func (p *Processor) CyclesEndoModeled() int { return p.endoProg.Makespan + EndoStepCycles }
+func (p *Processor) CyclesEndoModeled() int { return p.EndoProgram().Makespan + EndoStepCycles }
 
 // Program returns the functional microprogram.
-func (p *Processor) Program() *isa.Program { return p.funcProg }
+func (p *Processor) Program() *isa.Program { return p.ScheduleResult().Program }
 
 // Compiled returns the compiled execution plan of the functional
 // microprogram (immutable, safe to share).
-func (p *Processor) Compiled() *rtl.CompiledProgram { return p.funcCompiled }
+func (p *Processor) Compiled() *rtl.CompiledProgram { return p.progs[ProgramVariableBase].compiled }
 
 // EndoProgram returns the endo-workload microprogram.
-func (p *Processor) EndoProgram() *isa.Program { return p.endoProg }
+func (p *Processor) EndoProgram() *isa.Program { return p.progs[ProgramEndo].result.Program }
 
 // ScheduleResult returns the functional scheduling result.
-func (p *Processor) ScheduleResult() *sched.Result { return p.funcResult }
+func (p *Processor) ScheduleResult() *sched.Result { return p.progs[ProgramVariableBase].result }
 
 // HasFixedBase reports whether the fixed-base comb program was built
 // (Config.FixedBase).
-func (p *Processor) HasFixedBase() bool { return p.fbCompiled != nil }
-
-// CyclesFixedBase is the cycle count of the fixed-base comb program, or
-// 0 when it was not built.
-func (p *Processor) CyclesFixedBase() int {
-	if p.fbProg == nil {
-		return 0
-	}
-	return p.fbProg.Makespan
-}
-
-// FixedBaseProgram returns the fixed-base comb microprogram (nil unless
-// Config.FixedBase).
-func (p *Processor) FixedBaseProgram() *isa.Program { return p.fbProg }
+func (p *Processor) HasFixedBase() bool { return p.FixedBaseCompiled() != nil }
 
 // FixedBaseScheduleResult returns the fixed-base scheduling result (nil
 // unless Config.FixedBase).
-func (p *Processor) FixedBaseScheduleResult() *sched.Result { return p.fbResult }
+func (p *Processor) FixedBaseScheduleResult() *sched.Result { return p.progs[ProgramFixedBase].result }
 
 // FixedBaseCompiled returns the compiled fixed-base execution plan (nil
 // unless Config.FixedBase).
-func (p *Processor) FixedBaseCompiled() *rtl.CompiledProgram { return p.fbCompiled }
+func (p *Processor) FixedBaseCompiled() *rtl.CompiledProgram {
+	return p.progs[ProgramFixedBase].compiled
+}
 
 // TraceStats returns the op-mix statistics of the functional trace.
-func (p *Processor) TraceStats() trace.Stats { return p.stats }
+func (p *Processor) TraceStats() trace.Stats { return p.progs[ProgramVariableBase].stats }
+
+// run executes one unvalidated scalar multiplication of program id on
+// a pooled Executor (see Executor.ScalarMultBatch).
+func (p *Processor) run(id ProgramID, k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
+	e := p.execs.Get().(*Executor)
+	defer p.execs.Put(e)
+	return e.single(id, k, base)
+}
 
 // ScalarMult executes [k]G bit-true on the RTL model and returns the
 // affine result plus execution statistics.
 func (p *Processor) ScalarMult(k scalar.Scalar) (curve.Affine, rtl.Stats, error) {
-	g := curve.GeneratorAffine()
-	return p.ScalarMultPoint(k, g)
+	return p.run(ProgramVariableBase, k, curve.GeneratorAffine())
 }
 
 // ScalarMultPoint executes [k]P on the RTL model for an arbitrary base
-// point (the program is generic: the base point is an input), on a
-// pooled Executor.
+// point (the program is generic: the base point is an input).
 func (p *Processor) ScalarMultPoint(k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
-	e := p.execs.Get().(*Executor)
-	defer p.execs.Put(e)
-	return e.ScalarMultPoint(k, base)
+	return p.run(ProgramVariableBase, k, base)
 }
 
-// ScalarMultFixedBase executes [k]G on the fixed-base comb program
-// (Config.FixedBase must be set — see HasFixedBase), on a pooled
-// Executor. The program has no external inputs: only the recoded scalar
-// flows in.
+// ScalarMultFixedBase executes [k]G on the fixed-base comb program, or,
+// on a processor built without it (see HasFixedBase), on the
+// variable-base program with base G: the executors' fallback.
 func (p *Processor) ScalarMultFixedBase(k scalar.Scalar) (curve.Affine, rtl.Stats, error) {
-	if p.fbCompiled == nil {
-		return curve.Affine{}, rtl.Stats{}, fmt.Errorf("core: fixed-base program not built (Config.FixedBase)")
-	}
-	e := p.execs.Get().(*Executor)
-	defer p.execs.Put(e)
-	return e.single(ProgramFixedBase, k, curve.Affine{})
+	return p.run(ProgramFixedBase, k, curve.GeneratorAffine())
+}
+
+// ScalarMultEndo executes the endo-workload program: the caller-visible
+// result is identical, but step 1's points are computed by the library
+// (standing in for the endomorphism unit) and loaded as inputs.
+func (p *Processor) ScalarMultEndo(k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
+	return p.run(ProgramEndo, k, base)
 }
 
 // ScalarMultInterpreted executes [k]G on the reference cycle-by-cycle
@@ -364,43 +310,23 @@ func (p *Processor) ScalarMultFixedBase(k scalar.Scalar) (curve.Affine, rtl.Stat
 // semantic baseline of the differential equivalence suite and the
 // pre-compilation comparison point of the latency benchmark.
 func (p *Processor) ScalarMultInterpreted(k scalar.Scalar) (curve.Affine, rtl.Stats, error) {
-	g := curve.GeneratorAffine()
-	dec := scalar.Decompose(k)
-	out, st, err := rtl.Interpret(p.funcProg, rtl.RunInput{
-		Inputs:    map[string]fp2.Element{"P.x": g.X, "P.y": g.Y},
-		Rec:       scalar.Recode(dec),
-		Corrected: dec.Corrected,
-	})
+	return p.interpret(ProgramVariableBase, k, curve.GeneratorAffine(), nil)
+}
+
+// interpret runs program id for [k]base on rtl.Interpret, bound the
+// way the executor binds a lane, with an optional observer.
+func (p *Processor) interpret(id ProgramID, k scalar.Scalar, base curve.Affine, obs func(rtl.Event)) (curve.Affine, rtl.Stats, error) {
+	pr := &p.progs[id]
+	in := rtl.RunInput{Bound: make([]rtl.Binding, len(pr.in)), Observer: obs}
+	for i, r := range pr.in {
+		in.Bound[i].Reg = r
+	}
+	programs[id].bind(k, base, &in)
+	out, st, err := rtl.Interpret(pr.result.Program, in)
 	if err != nil {
 		return curve.Affine{}, st, err
 	}
 	return curve.Affine{X: out["x"], Y: out["y"]}, st, nil
-}
-
-// ScalarMultEndo executes the endo-workload program: the caller-visible
-// result is identical, but step 1's points are computed by the library
-// (standing in for the endomorphism unit) and loaded as inputs. It runs
-// on a fresh width-1 LaneMachine: a modeling entry point, not a serving
-// path.
-func (p *Processor) ScalarMultEndo(k scalar.Scalar, base curve.Affine) (curve.Affine, rtl.Stats, error) {
-	dec := scalar.Decompose(k)
-	mb := curve.NewMultiBase(curve.FromAffine(base))
-	bound := make([]rtl.Binding, 8)
-	for j := 0; j < 4; j++ {
-		a := mb.P[j].Affine()
-		bound[2*j] = rtl.Binding{Reg: p.endoIn[2*j], Val: a.X}
-		bound[2*j+1] = rtl.Binding{Reg: p.endoIn[2*j+1], Val: a.Y}
-	}
-	lm := p.endoCompiled.NewLaneMachine(1)
-	errs := []error{nil}
-	st, err := lm.RunLanes([]rtl.RunInput{{Bound: bound, Rec: scalar.Recode(dec), Corrected: dec.Corrected}}, errs)
-	if err == nil {
-		err = errs[0]
-	}
-	if err != nil {
-		return curve.Affine{}, rtl.Stats{}, err
-	}
-	return curve.Affine{X: lm.Reg(0, p.endoOut[0]), Y: lm.Reg(0, p.endoOut[1])}, st, nil
 }
 
 // TraceScalarMult executes [k]G bit-true on the reference interpreter
@@ -411,32 +337,23 @@ func (p *Processor) ScalarMultEndo(k scalar.Scalar, base curve.Affine) (curve.Af
 // written, so a corrupted run cannot produce a plausible-looking
 // timeline. It returns the run statistics.
 func (p *Processor) TraceScalarMult(k scalar.Scalar, w io.Writer) (rtl.Stats, error) {
-	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder()
-	tel := rtl.NewRunTelemetry(reg, rec, p.funcProg)
-	dec := scalar.Decompose(k)
-	g := curve.GeneratorAffine()
-	m := p.funcCompiled.NewInterpreter()
-	st, err := m.Run(rtl.RunInput{
-		Inputs:    map[string]fp2.Element{"P.x": g.X, "P.y": g.Y},
-		Rec:       scalar.Recode(dec),
-		Corrected: dec.Corrected,
-		Observer:  tel.Observe,
-	})
+	tel := rtl.NewRunTelemetry(telemetry.NewRegistry(), rec, p.Program())
+	got, st, err := p.interpret(ProgramVariableBase, k, curve.GeneratorAffine(), tel.Observe)
 	if err != nil {
 		return st, err
 	}
 	tel.Finish(st)
 	want := curve.ScalarMult(k, curve.Generator()).Affine()
-	if !m.Reg(p.funcOut[0]).Equal(want.X) || !m.Reg(p.funcOut[1]).Equal(want.Y) {
+	if !got.X.Equal(want.X) || !got.Y.Equal(want.Y) {
 		return st, fmt.Errorf("core: traced run differs from library for k=%v", k)
 	}
 	return st, rec.WriteTrace(w)
 }
 
-// Verify runs nTrials random scalar multiplications on the RTL model and
-// cross-checks each against the functional library. It returns the first
-// mismatch as an error.
+// Verify cross-checks every built program of the table against the
+// functional library: nTrials random scalar multiplications of G each,
+// on the RTL model. It returns the first mismatch as an error.
 func (p *Processor) Verify(nTrials int, seed int64) error {
 	s := uint64(seed)
 	next := func() uint64 { // splitmix64
@@ -446,15 +363,21 @@ func (p *Processor) Verify(nTrials int, seed int64) error {
 		z = (z ^ z>>27) * 0x94D049BB133111EB
 		return z ^ z>>31
 	}
-	for i := 0; i < nTrials; i++ {
-		k := scalar.Scalar{next(), next(), next(), next()}
-		got, _, err := p.ScalarMult(k)
-		if err != nil {
-			return fmt.Errorf("core: trial %d: %w", i, err)
+	g := curve.GeneratorAffine()
+	for id := range p.progs {
+		if p.progs[id].compiled == nil {
+			continue
 		}
-		want := curve.ScalarMult(k, curve.Generator()).Affine()
-		if !got.X.Equal(want.X) || !got.Y.Equal(want.Y) {
-			return fmt.Errorf("core: trial %d: RTL result differs from library for k=%v", i, k)
+		for i := 0; i < nTrials; i++ {
+			k := scalar.Scalar{next(), next(), next(), next()}
+			got, _, err := p.run(ProgramID(id), k, g)
+			if err != nil {
+				return fmt.Errorf("core: %v trial %d: %w", ProgramID(id), i, err)
+			}
+			want := curve.ScalarMult(k, curve.Generator()).Affine()
+			if !got.X.Equal(want.X) || !got.Y.Equal(want.Y) {
+				return fmt.Errorf("core: %v trial %d: RTL result differs from library for k=%v", ProgramID(id), i, k)
+			}
 		}
 	}
 	return nil
@@ -468,8 +391,9 @@ func (p *Processor) PowerModel() (*power.Model, error) {
 
 // AreaConfig returns the gates.Config describing this instance.
 func (p *Processor) AreaConfig() gates.Config {
-	rom, _ := p.funcProg.ROMImage()
-	return gates.DefaultConfig(p.funcProg.NumRegs, len(rom))
+	prog := p.Program()
+	rom, _ := prog.ROMImage()
+	return gates.DefaultConfig(prog.NumRegs, len(rom))
 }
 
 // Area returns the Fig. 3 breakdown, calibrated so this configuration

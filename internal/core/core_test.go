@@ -25,10 +25,13 @@ func getProcessor(t testing.TB) *Processor {
 	return sharedProcessor
 }
 
+// TestProcessorVerify cross-checks every built program of the table,
+// with and without the optional comb.
 func TestProcessorVerify(t *testing.T) {
-	p := getProcessor(t)
-	if err := p.Verify(4, 12345); err != nil {
-		t.Fatal(err)
+	for _, p := range []*Processor{getProcessor(t), getFBProcessor(t)} {
+		if err := p.Verify(4, 12345); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

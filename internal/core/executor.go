@@ -136,31 +136,6 @@ func (c Config) CacheKey() ConfigKey {
 	}
 }
 
-// ProgramID names one of a processor's microprograms. It is the
-// request class the serving engine routes on (engine.Class is an alias),
-// so the mapping from class to program is written once, here.
-type ProgramID uint8
-
-const (
-	// ProgramVariableBase is the generic variable-base program, any base
-	// point ([k]P). The zero value.
-	ProgramVariableBase ProgramID = iota
-	// ProgramFixedBase is the fixed-base comb program for [k]G (built
-	// with Config.FixedBase). Without it, executors run the
-	// variable-base program with base G instead: same result, longer
-	// schedule.
-	ProgramFixedBase
-	numPrograms
-)
-
-// String names the program as used in logs, reports and metric names.
-func (id ProgramID) String() string {
-	if id == ProgramFixedBase {
-		return "fixedbase"
-	}
-	return "variablebase"
-}
-
 // Executor is a per-worker handle for running scalar multiplications on
 // a shared Processor. The processor's compiled programs are immutable
 // after New, and each Executor owns its lockstep lane machines
@@ -194,10 +169,10 @@ type Executor struct {
 type laneState struct {
 	lm *rtl.LaneMachine
 	it *rtl.Interpreter
-	// bound holds each lane's (base.X, base.Y) binding pair
-	// (variable-base only; the comb program has no external inputs).
-	// The RunInput Bound slices point into it.
-	bound [][2]rtl.Binding
+	// bound holds every lane's input bindings, registers resolved, one
+	// run of the program's input count per lane; the RunInput Bound
+	// slices point into it.
+	bound []rtl.Binding
 	ins   []rtl.RunInput
 }
 
@@ -220,15 +195,6 @@ func (e *Executor) Runs() int { return e.runs }
 // executed.
 func (e *Executor) Cycles() int64 { return e.cycles }
 
-// program returns id's compiled plan with its input and output
-// registers.
-func (e *Executor) program(id ProgramID) (cp *rtl.CompiledProgram, in []uint16, out [2]uint16) {
-	if id == ProgramFixedBase {
-		return e.p.fbCompiled, nil, e.p.fbOut
-	}
-	return e.p.funcCompiled, e.p.funcIn[:], e.p.funcOut
-}
-
 // laneState returns program id's lane state, grown to hold at least n
 // lanes. Growth drops the lane machine (a width change moves every
 // structure-of-arrays row), so it only ever widens.
@@ -237,15 +203,16 @@ func (e *Executor) laneState(id ProgramID, n int) *laneState {
 	if len(ls.ins) >= n {
 		return ls
 	}
-	_, in, _ := e.program(id)
+	in := e.p.progs[id].in
 	ls.lm = nil
-	ls.bound = make([][2]rtl.Binding, n)
+	ls.bound = make([]rtl.Binding, n*len(in))
 	ls.ins = make([]rtl.RunInput, n)
-	if in != nil {
-		for l := range ls.ins {
-			ls.bound[l][0].Reg, ls.bound[l][1].Reg = in[0], in[1]
-			ls.ins[l].Bound = ls.bound[l][:]
+	for l := range ls.ins {
+		b := ls.bound[l*len(in) : (l+1)*len(in)]
+		for i, r := range in {
+			b[i].Reg = r
 		}
+		ls.ins[l].Bound = b
 	}
 	return ls
 }
@@ -261,10 +228,12 @@ func laneBase(bases []curve.Affine, l int) curve.Affine {
 // ScalarMultBatch executes [ks[l]]bases[l] for every lane l on program
 // prog, in one lockstep pass of its compiled schedule (see
 // rtl.LaneMachine; one lane is a width-1 batch), then applies the
-// end-of-SM result checks of level v to each lane. ProgramFixedBase
-// computes [ks[l]]G and ignores bases; a nil bases means G in every
-// lane. On a processor built without the comb program, fixed-base lanes
-// run one variable-base pass with base G.
+// end-of-SM result checks of level v to each lane. The program table
+// supplies the plan, registers and per-lane recode/bind step. A program
+// with its base baked in (ProgramFixedBase) computes [ks[l]]G and
+// ignores bases; a nil bases means G in every lane. On a processor
+// built without an optional program (the comb), its lanes run one
+// variable-base pass instead.
 //
 // outs and errs are per lane: errs[l] is nil on success, lane l's
 // structural hazard, or its wrapped ErrOffCurve / ErrDegenerate /
@@ -289,24 +258,17 @@ func (e *Executor) ScalarMultBatch(prog ProgramID, ks []scalar.Scalar, bases, ou
 		return rtl.Stats{}, fmt.Errorf("core: lane slice lengths diverge: %d scalars, %d bases, %d outs, %d errs",
 			n, len(bases), len(outs), len(errs))
 	}
-	if prog == ProgramFixedBase {
-		bases = nil
-		if e.p.fbCompiled == nil {
-			prog = ProgramVariableBase
-		}
+	if programs[prog].inputs == nil {
+		bases = nil // the base is baked in: G
 	}
-	cp, _, out := e.program(prog)
+	if e.p.progs[prog].compiled == nil {
+		prog = ProgramVariableBase // not built: the variable-base program serves it
+	}
+	pr, bind := &e.p.progs[prog], programs[prog].bind
+	cp, out := pr.compiled, pr.out
 	ls := e.laneState(prog, n)
 	for l, k := range ks {
-		in := &ls.ins[l]
-		if prog == ProgramFixedBase {
-			in.Rec, in.Corrected = scalar.RecodeFixedBase(k)
-			continue
-		}
-		dec := scalar.Decompose(k)
-		in.Rec, in.Corrected = scalar.Recode(dec), dec.Corrected
-		base := laneBase(bases, l)
-		ls.bound[l][0].Val, ls.bound[l][1].Val = base.X, base.Y
+		bind(k, laneBase(bases, l), &ls.ins[l])
 	}
 	if e.inj == nil {
 		if ls.lm == nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/curve"
-	"repro/internal/scalar"
 )
 
 // TestExecutorScalarMultZeroAllocs pins the steady-state guarantee: a
@@ -30,31 +29,36 @@ func TestExecutorScalarMultZeroAllocs(t *testing.T) {
 }
 
 // TestExecutorMatchesInterpreted runs the end-to-end differential at the
-// core layer: the executor's compiled path must agree with the
-// reference interpreter on both the result point and the run statistics
-// for random scalars.
+// core layer for every program of the table: a lockstep lane batch of
+// the executor must agree with the reference interpreter, lane for
+// lane, on both the result point and the run statistics.
 func TestExecutorMatchesInterpreted(t *testing.T) {
-	p := getProcessor(t)
-	ex := p.NewExecutor()
 	rng := mrand.New(mrand.NewSource(4242))
-	for trial := 0; trial < 4; trial++ {
-		var k scalar.Scalar
-		for i := range k {
-			k[i] = rng.Uint64()
-		}
-		want, wantSt, err := p.ScalarMultInterpreted(k)
-		if err != nil {
-			t.Fatalf("trial %d: interpreted: %v", trial, err)
-		}
-		got, gotSt, err := ex.ScalarMultPoint(k, curve.GeneratorAffine())
-		if err != nil {
-			t.Fatalf("trial %d: compiled: %v", trial, err)
-		}
-		if !got.X.Equal(want.X) || !got.Y.Equal(want.Y) {
-			t.Fatalf("trial %d: compiled result differs from interpreted", trial)
-		}
-		if !reflect.DeepEqual(gotSt, wantSt) {
-			t.Fatalf("trial %d: stats differ:\ncompiled:    %+v\ninterpreted: %+v", trial, gotSt, wantSt)
-		}
+	const n = 4
+	for _, c := range tableCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			ks, bases := laneCase(rng, n)
+			outs := make([]curve.Affine, n)
+			errs := make([]error, n)
+			st, err := c.p.NewExecutor().ScalarMultBatch(c.id, ks, bases, outs, errs, ValidateNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, k := range ks {
+				if errs[l] != nil {
+					t.Fatalf("lane %d: %v", l, errs[l])
+				}
+				want, wantSt, err := c.p.interpret(served(c.p, c.id), k, c.id.Base(bases[l]), nil)
+				if err != nil {
+					t.Fatalf("lane %d: interpreted: %v", l, err)
+				}
+				if !outs[l].X.Equal(want.X) || !outs[l].Y.Equal(want.Y) {
+					t.Fatalf("lane %d: compiled result differs from interpreted", l)
+				}
+				if !reflect.DeepEqual(st, wantSt) {
+					t.Fatalf("lane %d: stats differ:\ncompiled:    %+v\ninterpreted: %+v", l, st, wantSt)
+				}
+			}
+		})
 	}
 }

@@ -117,7 +117,7 @@ type OpMixResult struct {
 
 // OpMix profiles the functional SM trace.
 func (p *Processor) OpMix() OpMixResult {
-	return OpMixResult{Stats: p.stats}
+	return OpMixResult{Stats: p.TraceStats()}
 }
 
 // --------------------------------------------------------------- E4: Figure 4
@@ -365,11 +365,11 @@ type ROMStats struct {
 
 // ROM reports the size of the functional + endo control ROMs.
 func (p *Processor) ROM() (ROMStats, error) {
-	w1, err := p.funcProg.ROMImage()
+	w1, err := p.Program().ROMImage()
 	if err != nil {
 		return ROMStats{}, err
 	}
-	w2, err := p.endoProg.ROMImage()
+	w2, err := p.EndoProgram().ROMImage()
 	if err != nil {
 		return ROMStats{}, err
 	}

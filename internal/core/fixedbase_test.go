@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/curve"
+	"repro/internal/rtl"
 	"repro/internal/scalar"
 )
 
@@ -29,22 +30,27 @@ func TestFixedBaseGated(t *testing.T) {
 	if p.HasFixedBase() {
 		t.Fatal("default Config built the fixed-base program")
 	}
-	if _, _, err := p.ScalarMultFixedBase(scalar.Scalar{1}); err == nil {
-		t.Fatal("ScalarMultFixedBase on a processor without the program did not error")
-	}
-	// The executor degrades gracefully to the variable-base program.
-	e := p.NewExecutor()
+	// The processor and the executor both degrade gracefully to the
+	// variable-base program.
 	k := scalar.Scalar{5, 6, 7, 8}
-	got, st, err := runOne(e, ProgramFixedBase, k, curve.Affine{}, ValidateOracle)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := curve.ScalarMult(k, curve.Generator()).Affine()
-	if !got.X.Equal(want.X) || !got.Y.Equal(want.Y) {
-		t.Fatal("fallback fixed-base result differs from library")
+	runs := map[string]func() (curve.Affine, rtl.Stats, error){
+		"processor": func() (curve.Affine, rtl.Stats, error) { return p.ScalarMultFixedBase(k) },
+		"executor": func() (curve.Affine, rtl.Stats, error) {
+			return runOne(p.NewExecutor(), ProgramFixedBase, k, curve.Affine{}, ValidateOracle)
+		},
 	}
-	if st.Cycles != p.CyclesFunctional() {
-		t.Fatalf("fallback ran %d cycles, want the variable-base %d", st.Cycles, p.CyclesFunctional())
+	for name, run := range runs {
+		got, st, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !got.X.Equal(want.X) || !got.Y.Equal(want.Y) {
+			t.Fatalf("%s: fallback fixed-base result differs from library", name)
+		}
+		if st.Cycles != p.CyclesFunctional() {
+			t.Fatalf("%s: fallback ran %d cycles, want the variable-base %d", name, st.Cycles, p.CyclesFunctional())
+		}
 	}
 }
 
@@ -59,7 +65,7 @@ func TestFixedBaseMakespan(t *testing.T) {
 	if !p.HasFixedBase() {
 		t.Fatal("FixedBase config did not build the program")
 	}
-	fb, vb := p.CyclesFixedBase(), p.CyclesFunctional()
+	fb, vb := p.FixedBaseScheduleResult().Makespan, p.CyclesFunctional()
 	// The comb trades the doubling chain for ROM: the ISSUE gate is
 	// fb <= vb/2 even against the portfolio-optimized variable-base
 	// schedule, and default list scheduling already clears it.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	mrand "math/rand"
 	"reflect"
 	"testing"
@@ -187,43 +188,64 @@ func (f *faultRun) Retire(_ int, _ uint8, _ uint16, v fp2.Element) fp2.Element {
 	return v
 }
 
+// tableCase is one program of the table on one processor.
+type tableCase struct {
+	name string
+	p    *Processor
+	id   ProgramID
+}
+
+// tableCases lists every program of the table on the comb-enabled
+// processor, then every program the default processor leaves out
+// (served by its fallback, named "<program>-fallback"), so a new row of
+// the table is covered without a new test case.
+func tableCases(t testing.TB) []tableCase {
+	fb, vb := getFBProcessor(t), getProcessor(t)
+	var cases []tableCase
+	for id := ProgramID(0); id < numPrograms; id++ {
+		cases = append(cases, tableCase{id.String(), fb, id})
+	}
+	for id := ProgramID(0); id < numPrograms; id++ {
+		if vb.progs[id].compiled == nil {
+			cases = append(cases, tableCase{id.String() + "-fallback", vb, id})
+		}
+	}
+	return cases
+}
+
+// served is the program that serves id on p: id itself, or the
+// variable-base fallback when p did not build it.
+func served(p *Processor, id ProgramID) ProgramID {
+	if p.progs[id].compiled == nil {
+		return ProgramVariableBase
+	}
+	return id
+}
+
 // TestInjectedLaneStats: with an injector attached, a batch whose last
 // lane faults must still report the compiled Stats of the program that
-// ran, so every successful lane gets them — on the variable-base
-// program, on the comb, and on the comb's variable-base fallback.
+// ran, so every successful lane gets them — on every program of the
+// table and on each fallback.
 func TestInjectedLaneStats(t *testing.T) {
-	fb, vb := getFBProcessor(t), getProcessor(t)
 	const n = 3
 	g := curve.GeneratorAffine()
 	bases := []curve.Affine{g, g, g}
-	cases := []struct {
-		name string
-		p    *Processor
-		run  func(ex *Executor, ks []scalar.Scalar, outs []curve.Affine, errs []error) (rtl.Stats, error)
-		want rtl.Stats
-	}{
-		{"variablebase", fb, func(ex *Executor, ks []scalar.Scalar, outs []curve.Affine, errs []error) (rtl.Stats, error) {
-			return ex.ScalarMultLanes(ks, bases, outs, errs)
-		}, fb.Compiled().Stats()},
-		{"fixedbase", fb, (*Executor).ScalarMultFixedBaseLanes, fb.FixedBaseCompiled().Stats()},
-		{"fixedbase-fallback", vb, (*Executor).ScalarMultFixedBaseLanes, vb.Compiled().Stats()},
-	}
-	for _, c := range cases {
+	for _, c := range tableCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			ex := c.p.NewExecutor()
 			ex.SetInjector(&faultRun{target: n})
 			ks := []scalar.Scalar{{11}, {12, 13}, {14, 15, 16}}
 			outs := make([]curve.Affine, n)
 			errs := make([]error, n)
-			st, err := c.run(ex, ks, outs, errs)
+			st, err := ex.ScalarMultBatch(c.id, ks, bases, outs, errs, ValidateNone)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if errs[n-1] == nil {
 				t.Fatal("the injected last lane did not fail")
 			}
-			if !reflect.DeepEqual(st, c.want) {
-				t.Fatalf("batch stats = %+v, want the program's compiled %+v", st, c.want)
+			if want := c.p.progs[served(c.p, c.id)].compiled.Stats(); !reflect.DeepEqual(st, want) {
+				t.Fatalf("batch stats = %+v, want the program's compiled %+v", st, want)
 			}
 			for l := 0; l < n-1; l++ {
 				if errs[l] != nil {
@@ -235,5 +257,50 @@ func TestInjectedLaneStats(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProgramTableMatchesLibrary runs every program of the table (and
+// each fallback) through ScalarMultBatch at widths 1 and 4 with random
+// bases and checks each lane against the functional library.
+func TestProgramTableMatchesLibrary(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(780))
+	for _, c := range tableCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			ex := c.p.NewExecutor()
+			for _, n := range []int{1, 4} {
+				ks, bases := laneCase(rng, n)
+				outs := make([]curve.Affine, n)
+				errs := make([]error, n)
+				if _, err := ex.ScalarMultBatch(c.id, ks, bases, outs, errs, ValidateNone); err != nil {
+					t.Fatalf("width %d: %v", n, err)
+				}
+				for l := range ks {
+					if errs[l] != nil {
+						t.Fatalf("width %d lane %d: %v", n, l, errs[l])
+					}
+					want := curve.ScalarMult(ks[l], curve.FromAffine(c.id.Base(bases[l]))).Affine()
+					if !outs[l].X.Equal(want.X) || !outs[l].Y.Equal(want.Y) {
+						t.Fatalf("width %d lane %d: result differs from curve.ScalarMult", n, l)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestProgramIDString pins the table's names and the rendering of an
+// ID outside it.
+func TestProgramIDString(t *testing.T) {
+	for id, want := range map[ProgramID]string{
+		ProgramVariableBase: "variablebase",
+		ProgramFixedBase:    "fixedbase",
+		ProgramEndo:         "endo",
+		numPrograms:         fmt.Sprintf("program(%d)", numPrograms),
+		255:                 "program(255)",
+	} {
+		if got := id.String(); got != want {
+			t.Errorf("ProgramID(%d).String() = %q, want %q", uint8(id), got, want)
+		}
 	}
 }

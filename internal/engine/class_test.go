@@ -56,7 +56,7 @@ func wantClassPoint(req Request) curve.Affine {
 func TestEngineClassRouting(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := NewWithProcessor(testFBProcessor(t), Options{
-		Workers: 2, QueueDepth: 64, Verify: true, Registry: reg,
+		Workers: 2, QueueDepth: 64, Validate: core.ValidateOracle, Registry: reg,
 	})
 	rng := mrand.New(mrand.NewSource(63))
 	const jobs = 16
@@ -113,7 +113,7 @@ func TestEngineClassRouting(t *testing.T) {
 // serves fixed-base-class requests correctly on the variable-base
 // program (graceful degradation, no error surface).
 func TestEngineClassFallback(t *testing.T) {
-	e := NewWithProcessor(testProcessor(t), Options{Workers: 1, Verify: true})
+	e := NewWithProcessor(testProcessor(t), Options{Workers: 1, Validate: core.ValidateOracle})
 	defer e.Close()
 	rng := mrand.New(mrand.NewSource(64))
 	req := classReq(rng, ClassFixedBase)
@@ -138,7 +138,7 @@ func TestEngineClassFallback(t *testing.T) {
 func TestSchnorrQSigningRidesFixedBase(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := NewWithProcessor(testFBProcessor(t), Options{
-		Workers: 2, Verify: true, Registry: reg,
+		Workers: 2, Validate: core.ValidateOracle, Registry: reg,
 	})
 	defer e.Close()
 	ctx := context.Background()
@@ -183,7 +183,7 @@ func TestEngineLaneClassHomogeneity(t *testing.T) {
 	e := NewWithProcessor(testFBProcessor(t), Options{
 		Workers: 1, QueueDepth: 64, LaneWidth: 4,
 		FlushDeadline: time.Millisecond, Clock: clk,
-		Verify: true, Registry: reg,
+		Validate: core.ValidateOracle, Registry: reg,
 	})
 	rng := mrand.New(mrand.NewSource(65))
 	// Runs of 3+3+2+... so some batches can fill homogeneously and every

@@ -74,15 +74,12 @@ type Options struct {
 	// Registry receives the engine's metrics (a fresh registry is
 	// created when nil). Metric names are listed in docs/ENGINE.md.
 	Registry *telemetry.Registry
-	// Verify cross-checks every result against the pure functional
-	// curve model (the differential oracle). Roughly doubles the cost
-	// of a request; meant for soak tests and acceptance runs. It is
-	// shorthand for Validate = core.ValidateOracle and wins over
-	// Validate when set.
-	Verify bool
 	// Validate selects the end-of-run check applied to every RTL
 	// result. The zero value is core.ValidateOnCurve: self-checking is
 	// the default, and core.ValidateNone must be asked for explicitly.
+	// core.ValidateOracle cross-checks every result against the pure
+	// functional curve model; it roughly doubles the cost of a request
+	// and is meant for soak tests and acceptance runs.
 	Validate core.Validate
 	// MaxAttempts bounds RTL tries per request (first try included)
 	// before the request falls back to the software backend. Default 3.
@@ -202,6 +199,9 @@ const (
 	// On a processor built without core.Config.FixedBase the executor
 	// degrades gracefully to the variable-base program.
 	ClassFixedBase = core.ProgramFixedBase
+	// numClasses bounds the classes the engine serves: every other
+	// program of the table is refused at submission.
+	numClasses = ClassFixedBase + 1
 )
 
 // Request is one scalar multiplication [K]Base. The zero-value Base
@@ -215,12 +215,12 @@ type Request struct {
 }
 
 // base is the point the request multiplies: the generator for the
-// fixed-base class and for the zero-value Base.
+// zero-value Base and for a class whose program has it baked in.
 func (r Request) base() curve.Affine {
-	if r.Class == ClassFixedBase || r.Base == (curve.Affine{}) {
+	if r.Base == (curve.Affine{}) {
 		return curve.GeneratorAffine()
 	}
-	return r.Base
+	return r.Class.Base(r.Base)
 }
 
 // Result carries the affine product and the datapath statistics of the
@@ -257,11 +257,10 @@ type job struct {
 // Engine is a concurrent batch scalar-multiplication service. Create
 // with New or NewWithProcessor; all methods are safe for concurrent use.
 type Engine struct {
-	proc     *core.Processor
-	opts     Options
-	validate core.Validate
-	clock    Clock
-	brk      *breaker
+	proc  *core.Processor
+	opts  Options
+	clock Clock
+	brk   *breaker
 
 	trace       *telemetry.Recorder
 	traceStride uint64
@@ -304,8 +303,7 @@ type Engine struct {
 	laneLanes   *telemetry.Counter
 	flushHits   *telemetry.Counter
 	classBreaks *telemetry.Counter
-	fbDone      *telemetry.Counter
-	vbDone      *telemetry.Counter
+	classDone   [numClasses]*telemetry.Counter // engine.completed_<class>
 	depth       *telemetry.Gauge
 	inFlight    *telemetry.Gauge
 	laneFill    *telemetry.Gauge
@@ -424,7 +422,6 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 	e := &Engine{
 		proc:        p,
 		opts:        opts,
-		validate:    opts.Validate,
 		clock:       opts.Clock,
 		trace:       opts.Trace,
 		traceStride: stride,
@@ -442,8 +439,6 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 		laneLanes:   reg.Counter(ns + ".lane_lanes"),
 		flushHits:   reg.Counter(ns + ".flush_deadline_hits"),
 		classBreaks: reg.Counter(ns + ".lane_class_breaks"),
-		fbDone:      reg.Counter(ns + ".completed_fixedbase"),
-		vbDone:      reg.Counter(ns + ".completed_variablebase"),
 		depth:       reg.Gauge(ns + ".queue_depth"),
 		inFlight:    reg.Gauge(ns + ".in_flight"),
 		laneFill:    reg.Gauge(ns + ".lane_fill_ratio"),
@@ -457,8 +452,8 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 		execH: reg.Histogram(ns+".execute_seconds",
 			0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25),
 	}
-	if opts.Verify {
-		e.validate = core.ValidateOracle
+	for c := range e.classDone {
+		e.classDone[c] = reg.Counter(ns + ".completed_" + Class(c).String())
 	}
 	if opts.BreakerWindow > 0 {
 		e.brk = newBreaker(opts.BreakerWindow, opts.BreakerThreshold, opts.BreakerCooldown, reg, ns)
@@ -682,7 +677,7 @@ func (e *Engine) enqueue(ctx context.Context, reqs ...Request) ([]*job, error) {
 		return nil, err
 	}
 	for _, r := range reqs {
-		if r.Class > ClassFixedBase {
+		if r.Class >= numClasses {
 			return nil, fmt.Errorf("engine: unknown request class %d", r.Class)
 		}
 	}
@@ -755,11 +750,7 @@ func (e *Engine) deliver(j *job, r Result) {
 	e.completed.Inc()
 	// Per-program provenance: which microprogram class served the
 	// request (the serving layer's routing is visible here end-to-end).
-	if j.req.Class == ClassFixedBase {
-		e.fbDone.Inc()
-	} else {
-		e.vbDone.Inc()
-	}
+	e.classDone[j.req.Class].Inc()
 	e.doneCount.Add(1)
 	e.spanDeliver(j, r)
 	e.fr.Record("deliver", -1, j.id, r.Attempts, r.Backend.String())
@@ -923,7 +914,7 @@ func (e *Engine) executeLanes(w *workerState, jobs []*job) {
 // so the ladder still answers each request.
 func (e *Engine) runRTL(w *workerState, b *laneBuf, class Class, n int) rtl.Stats {
 	t0 := time.Now()
-	st, err := w.ex.ScalarMultBatch(class, b.ks[:n], b.bases[:n], b.outs[:n], b.errs[:n], e.validate)
+	st, err := w.ex.ScalarMultBatch(class, b.ks[:n], b.bases[:n], b.outs[:n], b.errs[:n], e.opts.Validate)
 	e.execH.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		for i := range b.errs[:n] {

@@ -58,7 +58,7 @@ func TestSubmitMatchesOracle(t *testing.T) {
 }
 
 func TestSubmitArbitraryBase(t *testing.T) {
-	e := newTestEngine(t, Options{Workers: 2, Verify: true})
+	e := newTestEngine(t, Options{Workers: 2, Validate: core.ValidateOracle})
 	base := curve.ScalarMult(scalar.FromUint64(12345), curve.Generator()).Affine()
 	k := scalar.Scalar{0xFEEDFACE, 7, 0, 1}
 	r, err := e.Submit(context.Background(), Request{K: k, Base: base})
@@ -249,7 +249,7 @@ func TestProcessorCacheShared(t *testing.T) {
 // every scalar multiplication executed on the engine's RTL workers, and
 // checks bit-compatibility with the software scheme.
 func TestSchnorrQOverEngine(t *testing.T) {
-	e := newTestEngine(t, Options{Workers: 2, Verify: true})
+	e := newTestEngine(t, Options{Workers: 2, Validate: core.ValidateOracle})
 	ctx := context.Background()
 	key, err := schnorrq.NewKeyFromSeed([32]byte{1, 2, 3, 4})
 	if err != nil {

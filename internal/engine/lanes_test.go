@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/fault"
 	"repro/internal/rtl"
@@ -138,13 +139,17 @@ func TestEngineWidthOne(t *testing.T) {
 	}
 }
 
-// TestEngineRejectsUnknownClass: a request naming no program is refused
-// at submission, never run (or retried) as a datapath fault.
+// TestEngineRejectsUnknownClass: a request naming no serving class —
+// a program of core's table the engine does not serve, or no program
+// at all — is refused at submission, never run (or retried) as a
+// datapath fault.
 func TestEngineRejectsUnknownClass(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newTestEngine(t, Options{Workers: 1, Registry: reg})
-	if _, err := e.Submit(context.Background(), Request{K: scalar.Scalar{1}, Class: ClassFixedBase + 1}); err == nil {
-		t.Fatal("unknown class accepted")
+	for _, c := range []Class{core.ProgramEndo, 255} {
+		if _, err := e.Submit(context.Background(), Request{K: scalar.Scalar{1}, Class: c}); err == nil {
+			t.Fatalf("class %v accepted", c)
+		}
 	}
 	if got := reg.Counter("engine.submitted").Value(); got != 0 {
 		t.Fatalf("submitted = %d after a refused request, want 0", got)
@@ -208,7 +213,7 @@ func TestEngineLaneFaultIsolation(t *testing.T) {
 	f := seuFault(t, p)
 	reg := telemetry.NewRegistry()
 	e := NewWithProcessor(p, Options{
-		Workers: 1, QueueDepth: 8, LaneWidth: 4, Verify: true, Registry: reg,
+		Workers: 1, QueueDepth: 8, LaneWidth: 4, Validate: core.ValidateOracle, Registry: reg,
 		Injector: func(int) rtl.Injector {
 			return fault.NewInjector([]fault.Fault{f}, reg).SetBudget(1)
 		},
