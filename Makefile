@@ -159,12 +159,13 @@ sched-smoke: build
 # Fixed-base smoke: the race-enabled comb tests across every layer
 # (recoding, ROM-operand RTL, the comb row of core's program table and
 # the table-driven tests over every row, the engine's class-homogeneous
-# coalescing, fixed-base-routed signing), then the
+# coalescing, fixed-base-routed signing, the literal SchnorrQ key and
+# signature KATs), then the
 # real -exp fixedbase experiment — portfolio-solved, determinism-
 # checked, differentially validated against the library's precomputed
 # table, and required by benchcheck to beat the variable-base schedule.
 fixedbase-smoke: build
-	$(GO) test -race -count=1 -run 'FixedBase|Class|Recode|ProgramTable|ProgramID|InjectedLaneStats|ExecutorMatchesInterpreted|ProcessorVerify' ./internal/scalar ./internal/curve ./internal/trace ./internal/rtl ./internal/core ./internal/engine ./internal/schnorrq ./internal/serve
+	$(GO) test -race -count=1 -run 'FixedBase|Class|Recode|ProgramTable|ProgramID|InjectedLaneStats|ExecutorMatchesInterpreted|ProcessorVerify|KAT' ./internal/scalar ./internal/curve ./internal/trace ./internal/rtl ./internal/core ./internal/engine ./internal/schnorrq ./internal/serve
 	$(GO) run ./cmd/fourq-bench -exp fixedbase -json $(FIXEDBASE_JSON)
 	$(GO) run ./scripts/benchcheck $(FIXEDBASE_JSON)
 

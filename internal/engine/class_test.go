@@ -4,7 +4,6 @@ import (
 	"context"
 	mrand "math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/curve"
@@ -181,8 +180,7 @@ func TestEngineLaneClassHomogeneity(t *testing.T) {
 	clk := newFakeClock()
 	reg := telemetry.NewRegistry()
 	e := NewWithProcessor(testFBProcessor(t), Options{
-		Workers: 1, QueueDepth: 64, LaneWidth: 4,
-		FlushDeadline: time.Millisecond, Clock: clk,
+		Workers: 1, QueueDepth: 64, LaneWidth: 4, Clock: clk,
 		Validate: core.ValidateOracle, Registry: reg,
 	})
 	rng := mrand.New(mrand.NewSource(65))

@@ -123,13 +123,6 @@ type Options struct {
 	// validation re-enters the retry ladder alone. Default 1 (no
 	// coalescing).
 	LaneWidth int
-	// FlushDeadline bounds how long a lane worker waits for lane-mates
-	// when it holds a partial batch: once it expires the batch runs at
-	// whatever width it reached, so a lone request is never held hostage.
-	// Driven by Clock (tests inject a fake). Defaults to 200µs when
-	// LaneWidth > 1; negative disables waiting (run immediately with
-	// whatever was queued).
-	FlushDeadline time.Duration
 	// Trace, when non-nil, receives per-request lifecycle spans —
 	// admission, queue wait, lane fill, each execute attempt, the
 	// validation verdict, delivery — as Chrome trace_event slices (track
@@ -301,7 +294,6 @@ type Engine struct {
 	quarantined *telemetry.Counter
 	laneRuns    *telemetry.Counter
 	laneLanes   *telemetry.Counter
-	flushHits   *telemetry.Counter
 	classBreaks *telemetry.Counter
 	classDone   [numClasses]*telemetry.Counter // engine.completed_<class>
 	depth       *telemetry.Gauge
@@ -401,9 +393,6 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 	if opts.LaneWidth <= 0 {
 		opts.LaneWidth = 1
 	}
-	if opts.FlushDeadline == 0 && opts.LaneWidth > 1 {
-		opts.FlushDeadline = 200 * time.Microsecond
-	}
 	if opts.FlightRecorder == nil {
 		opts.FlightRecorder = telemetry.NewFlightRecorder(0)
 	}
@@ -437,7 +426,6 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 		quarantined: reg.Counter(ns + ".workers_quarantined"),
 		laneRuns:    reg.Counter(ns + ".lane_runs"),
 		laneLanes:   reg.Counter(ns + ".lane_lanes"),
-		flushHits:   reg.Counter(ns + ".flush_deadline_hits"),
 		classBreaks: reg.Counter(ns + ".lane_class_breaks"),
 		depth:       reg.Gauge(ns + ".queue_depth"),
 		inFlight:    reg.Gauge(ns + ".in_flight"),
@@ -774,94 +762,42 @@ func (e *Engine) worker(w *workerState) {
 	}
 }
 
-// collect claims up to LaneWidth queued jobs for one lockstep batch.
-// It blocks for the first job; holding a partial batch it then waits
-// for lane-mates in FlushDeadline/4 slices of injected-Clock sleep,
-// giving up at the flush deadline (or at once when the deadline is
-// negative, or when the engine closes) — so a lone request pays at most
-// the deadline, never an unbounded wait.
-// Returns an empty slice when the engine is closed and drained.
+// collect claims the next lockstep batch by group commit: it blocks
+// until the queue is non-empty, then takes what is already queued — up
+// to LaneWidth jobs, cut at the first class boundary — and dispatches
+// at once. It never waits for lane-mates: under load the queue refills
+// while the previous batch runs, so the lanes fill without a timer.
+// Jobs canceled while queued are dropped (the canceler accounted for
+// them); if that empties the batch, the worker blocks again. Returns an
+// empty slice when the engine is closed and drained.
 func (e *Engine) collect(w *workerState) []*job {
-	lw := e.opts.LaneWidth
 	w.jobs = w.jobs[:0]
 	e.mu.Lock()
-	for len(e.queue) == 0 && !e.closed {
-		e.cond.Wait()
-	}
-	if len(e.queue) == 0 && e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	mixed := e.popClaim(w, lw)
-	closed := e.closed
-	e.mu.Unlock()
-	if mixed {
-		// The queue head belongs to the other program class; FIFO means
-		// no lane-mate can overtake it, so dispatch what we hold.
-		e.classBreaks.Inc()
-		return w.jobs
-	}
-	if len(w.jobs) >= lw || closed || e.opts.FlushDeadline < 0 {
-		if len(w.jobs) == 0 {
-			// Everything popped had been canceled; go back to blocking.
-			return e.collect(w)
+	defer e.mu.Unlock()
+	for len(w.jobs) == 0 {
+		for len(e.queue) == 0 && !e.closed {
+			e.cond.Wait()
 		}
-		return w.jobs
-	}
-	deadline := e.clock.Now().Add(e.opts.FlushDeadline)
-	slice := e.opts.FlushDeadline / 4
-	if slice <= 0 {
-		slice = e.opts.FlushDeadline
-	}
-	for len(w.jobs) < lw {
-		e.clock.Sleep(slice)
-		e.mu.Lock()
-		mixed = e.popClaim(w, lw)
-		closed = e.closed
-		e.mu.Unlock()
-		if mixed {
-			e.classBreaks.Inc()
-			return w.jobs
+		if len(e.queue) == 0 {
+			return nil
 		}
-		if closed || !e.clock.Now().Before(deadline) {
-			break
+		for len(w.jobs) < e.opts.LaneWidth && len(e.queue) > 0 {
+			j := e.queue[0]
+			if len(w.jobs) > 0 && j.req.Class != w.jobs[0].req.Class {
+				// Lockstep lanes stay program-homogeneous: the batch
+				// ends at the class boundary rather than reorder the FIFO.
+				e.classBreaks.Inc()
+				break
+			}
+			e.queue = e.queue[1:]
+			if j.state.CompareAndSwap(jobPending, jobClaimed) {
+				e.claimJob(j)
+				w.jobs = append(w.jobs, j)
+			}
 		}
-	}
-	if n := len(w.jobs); n > 0 && n < lw && !closed {
-		// The flush deadline expired on a partial batch: the batch runs
-		// under-full rather than holding its requests hostage.
-		e.flushHits.Inc()
-	}
-	if len(w.jobs) == 0 {
-		return e.collect(w)
+		e.depth.Set(float64(len(e.queue)))
 	}
 	return w.jobs
-}
-
-// popClaim moves queued jobs into w.jobs (up to max), claiming each;
-// jobs canceled while queued are dropped — the canceler accounted for
-// them. Claiming stops at a class boundary: a held batch only takes
-// head-of-queue jobs of its own class, so lockstep lanes stay
-// program-homogeneous without reordering the FIFO. It returns true when
-// the head was left behind for that reason — no lane-mate can arrive
-// ahead of it, so the caller should dispatch rather than keep waiting.
-// Caller holds e.mu.
-func (e *Engine) popClaim(w *workerState, max int) bool {
-	mixed := false
-	for len(w.jobs) < max && len(e.queue) > 0 {
-		j := e.queue[0]
-		if len(w.jobs) > 0 && j.req.Class != w.jobs[0].req.Class {
-			mixed = true
-			break
-		}
-		e.queue = e.queue[1:]
-		if j.state.CompareAndSwap(jobPending, jobClaimed) {
-			e.claimJob(j)
-			w.jobs = append(w.jobs, j)
-		}
-	}
-	e.depth.Set(float64(len(e.queue)))
-	return mixed
 }
 
 // executeLanes runs one claimed batch. The fast path is a single
@@ -874,8 +810,8 @@ func (e *Engine) popClaim(w *workerState, max int) bool {
 func (e *Engine) executeLanes(w *workerState, jobs []*job) {
 	n := len(jobs)
 	// Lane-occupancy accounting for every dispatch, full or partial: how
-	// well coalescing is filling the datapath, and how long the batch
-	// waited for lane-mates (earliest claim to dispatch).
+	// well coalescing is filling the datapath, and the time from the
+	// earliest claim to dispatch (the ExecHook, when one is set).
 	e.laneFill.Set(float64(n) / float64(e.opts.LaneWidth))
 	e.laneFillH.Observe(time.Since(jobs[0].claim).Seconds())
 	for _, j := range jobs {
@@ -887,7 +823,7 @@ func (e *Engine) executeLanes(w *workerState, jobs []*job) {
 		}
 		return
 	}
-	// popClaim keeps batches class-homogeneous, so the first job's class
+	// collect keeps batches class-homogeneous, so the first job's class
 	// is the batch's class and one lockstep pass serves every lane.
 	for i, j := range jobs {
 		w.batch.set(i, j.req)

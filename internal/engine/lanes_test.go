@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	mrand "math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -134,9 +135,6 @@ func TestEngineWidthOne(t *testing.T) {
 	if got := hooks.Load(); got != jobs {
 		t.Fatalf("ExecHook fired %d times, want once per job (%d)", got, jobs)
 	}
-	if got := get("engine.flush_deadline_hits"); got != 0 {
-		t.Fatalf("flush_deadline_hits = %d at width 1, want 0", got)
-	}
 }
 
 // TestEngineRejectsUnknownClass: a request naming no serving class —
@@ -156,51 +154,83 @@ func TestEngineRejectsUnknownClass(t *testing.T) {
 	}
 }
 
-// TestEngineFlushDeadline pins the lone-request guarantee with an
-// injected clock: a worker holding a partial batch waits for lane-mates
-// only in FlushDeadline/4 slices up to the deadline, then runs — so a
-// single submission completes after a bounded (fake) wait, and with a
-// negative deadline it never waits at all.
-func TestEngineFlushDeadline(t *testing.T) {
-	clk := newFakeClock()
+// TestEngineLaneBacklogFullLanes: a backlog of same-class jobs already
+// queued when the worker looks runs in full lanes — 8 jobs on one
+// width-4 worker are exactly two lockstep passes of 4.
+func TestEngineLaneBacklogFullLanes(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	e := NewWithProcessor(testProcessor(t), Options{
-		Workers: 1, LaneWidth: 4, FlushDeadline: time.Millisecond, Clock: clk,
+		Workers: 1, QueueDepth: 8, LaneWidth: 4, Registry: reg,
 	})
-	defer e.Close()
-	req := randReq(mrand.New(mrand.NewSource(7)))
-	r, err := e.Submit(context.Background(), req)
+	rng := mrand.New(mrand.NewSource(8))
+	reqs := make([]Request, 8)
+	for i := range reqs {
+		reqs[i] = randReq(rng)
+	}
+	results, err := e.SubmitBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := wantPoint(req)
-	if !r.Point.X.Equal(want.X) || !r.Point.Y.Equal(want.Y) {
-		t.Fatal("lone coalesced request returned a wrong point")
-	}
-	var waited time.Duration
-	for _, d := range clk.Sleeps() {
-		if d != 250*time.Microsecond {
-			t.Fatalf("flush wait slept %v, want FlushDeadline/4 slices", d)
+	e.Close()
+	for i, r := range results {
+		want := wantPoint(reqs[i])
+		if !r.Point.X.Equal(want.X) || !r.Point.Y.Equal(want.Y) {
+			t.Fatalf("request %d: wrong point", i)
 		}
-		waited += d
 	}
-	if waited == 0 {
-		t.Fatal("partial batch ran without consulting the flush deadline")
+	get := func(name string) int64 { return reg.Counter(name).Value() }
+	if runs, lanes := get("engine.lane_runs"), get("engine.lane_lanes"); runs != 2 || lanes != 8 {
+		t.Fatalf("lane_runs=%d lane_lanes=%d, want 2 and 8", runs, lanes)
 	}
-	if waited > 2*time.Millisecond {
-		t.Fatalf("lone request held for %v of fake time, deadline was 1ms", waited)
-	}
+}
 
-	// Negative deadline: run immediately, no flush sleeps at all.
-	clk2 := newFakeClock()
-	e2 := NewWithProcessor(testProcessor(t), Options{
-		Workers: 1, LaneWidth: 4, FlushDeadline: -1, Clock: clk2,
+// TestEngineCoalescingGroupCommit pins group commit under load: jobs
+// that queue up while the only worker is busy all ride its next batch.
+// The worker is held in ExecHook on a first job while 4 separate
+// Submits queue; once released, its next batch carries all 4.
+func TestEngineCoalescingGroupCommit(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hooks atomic.Int64
+	e := NewWithProcessor(testProcessor(t), Options{
+		Workers: 1, QueueDepth: 8, LaneWidth: 4, Registry: reg,
+		ExecHook: func(int) {
+			if hooks.Add(1) == 1 {
+				close(entered)
+				<-release
+			}
+		},
 	})
-	defer e2.Close()
-	if _, err := e2.Submit(context.Background(), req); err != nil {
-		t.Fatal(err)
+	rng := mrand.New(mrand.NewSource(5))
+	var wg sync.WaitGroup
+	submit := func(req Request) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := e.Submit(context.Background(), req)
+			want := wantPoint(req)
+			if err != nil || !r.Point.X.Equal(want.X) || !r.Point.Y.Equal(want.Y) {
+				t.Errorf("request failed or wrong point: %v", err)
+			}
+		}()
 	}
-	if n := len(clk2.Sleeps()); n != 0 {
-		t.Fatalf("negative FlushDeadline slept %d times, want 0", n)
+	submit(randReq(rng))
+	<-entered
+	for i := 0; i < 4; i++ {
+		submit(randReq(rng))
+	}
+	for e.Health().QueueDepth < 4 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	e.Close()
+	get := func(name string) int64 { return reg.Counter(name).Value() }
+	if runs, lanes := get("engine.lane_runs"), get("engine.lane_lanes"); runs != 2 || lanes != 5 {
+		t.Fatalf("lane_runs=%d lane_lanes=%d, want 2 and 5 (the backlog in one batch)", runs, lanes)
+	}
+	if got := reg.Gauge("engine.lane_fill_ratio").Value(); got != 1 {
+		t.Fatalf("lane_fill_ratio = %v after the backlog batch, want 1", got)
 	}
 }
 

@@ -81,7 +81,7 @@ func (e *Engine) claimJob(j *job) {
 		map[string]any{"req": j.id})
 }
 
-// spanLaneFill draws the coalescing wait — claim to lockstep dispatch —
+// spanLaneFill draws the claim-to-dispatch interval of a lockstep batch
 // on the executing worker's track, tagged with the width the batch
 // actually reached.
 func (e *Engine) spanLaneFill(j *job, worker, lanes int) {

@@ -117,7 +117,7 @@ func TestSpanLaneBatch(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := NewWithProcessor(testProcessor(t), Options{
 		Workers: 1, Registry: reg, Trace: rec, TraceSampleRate: 1,
-		LaneWidth: 2, FlushDeadline: 50 * time.Millisecond,
+		LaneWidth: 2,
 	})
 	defer e.Close()
 
@@ -153,14 +153,14 @@ func TestSpanLaneBatch(t *testing.T) {
 	}
 }
 
-// TestLaneFillDeadlineMetrics: a lone request on a wide-lane engine is
-// flushed by the deadline, and says so in the metrics.
-func TestLaneFillDeadlineMetrics(t *testing.T) {
+// TestLaneFillLoneRequest: a lone request on a wide-lane engine
+// dispatches at once — the worker never sleeps on the clock waiting for
+// lane-mates — and the metrics record the 1-of-4 batch.
+func TestLaneFillLoneRequest(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	clk := newFakeClock()
 	e := NewWithProcessor(testProcessor(t), Options{
-		Workers: 1, Registry: reg, Clock: clk,
-		LaneWidth: 4, FlushDeadline: 200 * time.Microsecond,
+		Workers: 1, Registry: reg, Clock: clk, LaneWidth: 4,
 	})
 	defer e.Close()
 
@@ -169,12 +169,18 @@ func TestLaneFillDeadlineMetrics(t *testing.T) {
 	if err != nil || r.Backend != BackendRTL {
 		t.Fatalf("submit: %v, backend %v", err, r.Backend)
 	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["engine.flush_deadline_hits"]; got < 1 {
-		t.Fatalf("flush_deadline_hits = %d, want >= 1 (partial batch flushed)", got)
+	if want := oracle(k, curve.Affine{}); !r.Point.X.Equal(want.X) || !r.Point.Y.Equal(want.Y) {
+		t.Fatal("lone coalesced request returned a wrong point")
 	}
+	if s := clk.Sleeps(); len(s) != 0 {
+		t.Fatalf("lone request slept %v on the clock, want no sleep", s)
+	}
+	snap := reg.Snapshot()
 	if got := snap.Gauges["engine.lane_fill_ratio"]; got != 0.25 {
 		t.Fatalf("lane_fill_ratio = %v, want 0.25 (1 of 4 lanes)", got)
+	}
+	if got := snap.Histograms["engine.lane_fill_seconds"].Count; got != 1 {
+		t.Fatalf("lane_fill_seconds count = %d, want 1 (one dispatch)", got)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"io"
 	"math/big"
+	"sync"
 
 	"repro/internal/curve"
 	"repro/internal/scalar"
@@ -83,7 +84,16 @@ func GenerateKey(rand io.Reader) (*PrivateKey, error) {
 	return NewKeyFromSeed(seed)
 }
 
-// NewKeyFromSeed deterministically derives a key pair from a seed.
+// baseTable is the generator's fixed-base table (~123 KB), shared by
+// key derivation and signing. It is built on first use, so a process
+// that never derives a key pays nothing for it.
+var baseTable = sync.OnceValue(func() *curve.FixedBaseTable {
+	return curve.NewFixedBaseTable(curve.Generator())
+})
+
+// NewKeyFromSeed deterministically derives a key pair from a seed. The
+// secret scalar multiplication [d]G runs on the constant-time
+// fixed-base walk.
 func NewKeyFromSeed(seed [SeedSize]byte) (*PrivateKey, error) {
 	expanded := sha512.Sum512(seed[:])
 	k := &PrivateKey{seed: seed}
@@ -92,7 +102,7 @@ func NewKeyFromSeed(seed [SeedSize]byte) (*PrivateKey, error) {
 	if k.d.IsZero() {
 		return nil, errors.New("schnorrq: degenerate seed")
 	}
-	k.Public.A = curve.ScalarMult(k.d, curve.Generator())
+	k.Public.A = baseTable().ScalarMult(k.d)
 	k.Public.enc = k.Public.A.Bytes()
 	return k, nil
 }
@@ -100,7 +110,8 @@ func NewKeyFromSeed(seed [SeedSize]byte) (*PrivateKey, error) {
 // Seed returns the private seed.
 func (k *PrivateKey) Seed() [SeedSize]byte { return k.seed }
 
-// Sign produces a deterministic signature of msg.
+// Sign produces a deterministic signature of msg. The nonce
+// multiplication [r]G runs on the constant-time fixed-base walk.
 func (k *PrivateKey) Sign(msg []byte) [SignatureSize]byte {
 	r := hashToScalar(k.prefix[:], msg)
 	if r.IsZero() {
@@ -108,7 +119,7 @@ func (k *PrivateKey) Sign(msg []byte) [SignatureSize]byte {
 		// istically so the nonce is never zero.
 		r = scalar.FromUint64(1)
 	}
-	R := curve.ScalarMult(r, curve.Generator())
+	R := baseTable().ScalarMult(r)
 	Renc := R.Bytes()
 	h := hashToScalar(Renc[:], k.Public.enc[:], msg)
 	s := scalar.SubModN(r, scalar.MulModN(h, k.d))

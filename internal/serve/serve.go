@@ -88,7 +88,7 @@ type Options struct {
 	// Engine is the per-shard engine template. Registry, FlightRecorder
 	// and MetricsNamespace are overwritten per shard (shard i reports
 	// under "engine.shard<i>"); everything else (Workers, QueueDepth,
-	// LaneWidth, FlushDeadline, validation, breaker, Trace, ...) applies
+	// LaneWidth, validation, breaker, Trace, ...) applies
 	// to every shard as given.
 	Engine engine.Options
 	// Registry receives the server's and every shard's metrics (a fresh
