@@ -25,12 +25,14 @@
 # a fixed-base smoke (race-enabled comb/class-routing tests across the
 # stack plus a real -exp fixedbase run whose comb schedule must beat
 # the variable-base one),
-# and finally the perf-regression gate: a fresh
-# latency+throughput+batch+sched+fixedbase run on the portfolio schedule compared
-# against the committed BENCH_rtl.json baseline (refresh it with
-# `make bench-record` after a deliberate perf change; TOLERANCE sets
-# the allowed fractional SM/s drop, and the allowed upward drift of the
-# portfolio makespan).
+# and finally the perf-regression gate (scripts/bench_compare.sh): the
+# exact values of a fresh latency+sched+fixedbase run on the portfolio
+# schedule (makespans, schedule hashes, cycles/SM, lower bounds, trace
+# op counts, ROM sizes) must equal the committed BENCH_rtl.json with
+# zero tolerance (refresh it with `make bench-record` after a deliberate
+# change of one), and host SM/s is compared in interleaved pairs of
+# runs against the change's parent commit built in a git worktree:
+# TOLERANCE is the allowed drop of a host row's median paired ratio.
 
 GO ?= go
 BENCH_JSON ?= /tmp/bench.json
@@ -169,25 +171,21 @@ fixedbase-smoke: build
 	$(GO) run ./cmd/fourq-bench -exp fixedbase -json $(FIXEDBASE_JSON)
 	$(GO) run ./scripts/benchcheck $(FIXEDBASE_JSON)
 
-# Record the committed performance baseline: one report carrying the
-# latency experiment (with host single-thread compiled vs interpreted
-# SM/s), the batch-engine throughput sweep, the lockstep lane-width
-# sweep, and the scheduler head-to-head (with the deterministic
-# portfolio schedule hash), validated before it lands in the tree. The
-# measured experiments run on the portfolio schedule — the SM/s
-# baselines describe the solver the binaries actually ship.
+# Record the committed exact-value baseline: the latency experiment
+# (cycles/SM on the portfolio schedule, paper-comparable endo cycles)
+# and the sched and fixedbase head-to-heads (makespans, lower bounds,
+# the deterministic portfolio schedule hashes, the comb's ROM),
+# validated before it lands in the tree.
 bench-record: build
-	$(GO) run ./cmd/fourq-bench -exp latency,throughput,batch,sched,fixedbase -sched portfolio -json $(BENCH_BASELINE)
+	$(GO) run ./cmd/fourq-bench -exp latency,sched,fixedbase -sched portfolio -json $(BENCH_BASELINE)
 	$(GO) run ./scripts/benchcheck $(BENCH_BASELINE)
 
-# Perf-regression gate: a fresh run of the same experiments must stay
-# within TOLERANCE of every SM/s metric in the committed baseline
-# (including the lockstep peak lane rate), and the portfolio makespan
-# must not drift up past the committed cycle count by more than
-# TOLERANCE either.
+# Perf-regression gate: exact rows against the committed baseline with
+# zero tolerance, then host SM/s (latency single-thread, throughput
+# peak, batch peak lane) in 10 alternating pairs of runs of this tree
+# and of its parent commit; see scripts/bench_compare.sh.
 bench-compare: build
-	$(GO) run ./cmd/fourq-bench -exp latency,throughput,batch,sched,fixedbase -sched portfolio -json $(COMPARE_JSON)
-	$(GO) run ./scripts/benchcheck -baseline $(BENCH_BASELINE) -tolerance $(TOLERANCE) $(COMPARE_JSON)
+	GO=$(GO) sh ./scripts/bench_compare.sh $(BENCH_BASELINE) $(TOLERANCE) $(COMPARE_JSON)
 
 ci: vet build race race-robust fuzz-smoke smoke lane-smoke obs-smoke serve-smoke chaos-smoke sched-smoke fixedbase-smoke bench-compare
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/benchreport"
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/engine"
@@ -18,44 +19,6 @@ import (
 // engine point (the serving-layer counterpart of the width-4 lockstep
 // sweep point the acceptance gate watches).
 const engineLaneWidth = 4
-
-// batchLanePoint is one lane-width measurement of the lockstep
-// executor path (core.Executor.ScalarMultLanes).
-type batchLanePoint struct {
-	Width    int     `json:"width"`
-	SMPerSec float64 `json:"sm_per_sec"`
-	// Speedup is SMPerSec relative to the first (narrowest) point.
-	Speedup float64 `json:"speedup"`
-	// OracleOK records that every lane of a verification pass matched
-	// the functional curve model before any timing started.
-	OracleOK bool `json:"oracle_ok"`
-}
-
-// batchEnginePoint measures the engine's request-coalescing path at a
-// fixed lane width: SubmitBatch wall-clock SM/s plus the lockstep
-// telemetry proving the lane path actually served the load.
-type batchEnginePoint struct {
-	LaneWidth int     `json:"lane_width"`
-	Workers   int     `json:"workers"`
-	SMs       int     `json:"sms"`
-	SMPerSec  float64 `json:"sm_per_sec"`
-	LaneRuns  int64   `json:"lane_runs"`
-	LaneLanes int64   `json:"lane_lanes"`
-	OracleOK  bool    `json:"oracle_ok"`
-}
-
-// batchResult is the -exp batch entry of the JSON report.
-type batchResult struct {
-	NumCPU           int               `json:"num_cpu"`
-	LaneWidths       []batchLanePoint  `json:"lane_widths"`
-	PeakLaneSMPerSec float64           `json:"peak_lane_sm_per_sec"`
-	Engine           *batchEnginePoint `json:"engine,omitempty"`
-	// Note explains a non-monotone sweep (benchcheck rejects one
-	// without it): on a noisy shared host a wider batch can lose a
-	// point to scheduling jitter even though the amortization is real.
-	Note        string `json:"note,omitempty"`
-	VerifiedAll bool   `json:"verified_all"`
-}
 
 // batch measures the lockstep lane-batched execution path: host SM/s of
 // core.Executor.ScalarMultLanes across the configured lane widths
@@ -68,7 +31,7 @@ func (b *bench) batch() error {
 	if err != nil {
 		return err
 	}
-	res := batchResult{NumCPU: runtime.NumCPU(), VerifiedAll: true}
+	res := benchreport.Batch{NumCPU: runtime.NumCPU(), VerifiedAll: true}
 
 	// Deterministic operand stream (splitmix64), independent of lane
 	// width so every point multiplies comparable inputs. Half the lanes
@@ -127,7 +90,7 @@ func (b *bench) batch() error {
 		if err != nil {
 			return fmt.Errorf("width %d: %w", w, err)
 		}
-		pt := batchLanePoint{Width: w, SMPerSec: rate * float64(w), OracleOK: true}
+		pt := benchreport.LanePoint{Width: w, SMPerSec: rate * float64(w), OracleOK: true}
 		if len(res.LaneWidths) == 0 {
 			pt.Speedup = 1
 		} else {
@@ -174,7 +137,7 @@ func (b *bench) batch() error {
 		}
 	}
 	snap := e.Metrics().Snapshot()
-	ep := batchEnginePoint{
+	ep := benchreport.BatchEnginePoint{
 		LaneWidth: engineLaneWidth,
 		Workers:   1,
 		SMs:       sms,
@@ -190,7 +153,7 @@ func (b *bench) batch() error {
 	fmt.Printf("engine (workers=1, lane width %d): %.0f SM/s over %d SMs, %d lockstep runs covering %d lanes\n",
 		ep.LaneWidth, ep.SMPerSec, ep.SMs, ep.LaneRuns, ep.LaneLanes)
 
-	b.rep.add("batch", res)
+	b.rep.Add("batch", res)
 	return nil
 }
 

@@ -54,6 +54,6 @@ func (b *bench) faults() error {
 	snap := reg.Snapshot()
 	fmt.Printf("fault.fired=%d fault.squashed_slots=%d\n",
 		snap.Counters["fault.fired"], snap.Counters["fault.squashed_slots"])
-	b.rep.add("faults", rep)
+	b.rep.Add("faults", rep)
 	return nil
 }

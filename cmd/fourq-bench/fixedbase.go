@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/benchreport"
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/rtl"
@@ -11,36 +12,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
-
-// fixedBaseResult is the -exp fixedbase entry of the JSON report: the
-// fixed-base comb program's schedule next to the variable-base program
-// signing traffic would otherwise ride, with the differential evidence
-// and the determinism cross-check benchcheck gates on.
-type fixedBaseResult struct {
-	TraceOps   int `json:"trace_ops"`
-	ROMWindows int `json:"rom_windows"`
-	ROMReads   int `json:"rom_reads"`
-	LowerBound int `json:"lower_bound"`
-
-	Single    schedSolverRow `json:"single"`
-	Portfolio schedSolverRow `json:"portfolio"`
-
-	// VariableBaseMakespan is the list-scheduled full variable-base SM —
-	// the schedule a sign commitment rides when no comb program exists.
-	VariableBaseMakespan int `json:"variable_base_makespan"`
-	// Ratio is Portfolio.Makespan / VariableBaseMakespan (lower is
-	// better; the routing pays off iff this stays well below 1).
-	Ratio float64 `json:"ratio"`
-
-	Improvements  int    `json:"improvements"`
-	Rounds        int    `json:"rounds"`
-	Seed          int64  `json:"seed"`
-	ScheduleHash  string `json:"schedule_hash"`
-	Deterministic bool   `json:"deterministic"`
-	// Validated counts the scalars whose compiled-comb output matched
-	// the library's precomputed-table oracle bit for bit.
-	Validated int `json:"validated"`
-}
 
 // fixedbase is the fixed-base comb experiment: it traces [k]G with the
 // precomputed window table as ROM operands, schedules the trace with
@@ -55,10 +26,9 @@ func (b *bench) fixedbase() error {
 	if err != nil {
 		return err
 	}
-	nOps := len(tr.Graph.Ops)
 	fmt.Printf("fixed-base comb trace: %d GF(p^2) operations, %d ROM windows\n",
-		nOps, len(tr.Graph.ROM))
-	h, err := solveHeadToHead(tr)
+		len(tr.Graph.Ops), len(tr.Graph.ROM))
+	h, cp, err := solveHeadToHead(tr)
 	if err != nil {
 		return err
 	}
@@ -67,10 +37,10 @@ func (b *bench) fixedbase() error {
 	// library's precomputed-table path, covering the correction (even,
 	// zero) and reduction (>= N) edges.
 	tbl := curve.NewFixedBaseTable(curve.Generator())
-	lm := h.cp.NewLaneMachine(1)
+	lm := cp.NewLaneMachine(1)
 	errs := []error{nil}
-	xr, okX := h.cp.OutputReg("x")
-	yr, okY := h.cp.OutputReg("y")
+	xr, okX := cp.OutputReg("x")
+	yr, okY := cp.OutputReg("y")
 	if !okX || !okY {
 		return fmt.Errorf("comb program misses its x/y outputs")
 	}
@@ -103,27 +73,19 @@ func (b *bench) fixedbase() error {
 	if err != nil {
 		return err
 	}
-	ratio := float64(h.portfolio.Makespan) / float64(vr.Makespan)
+	ratio := float64(h.Portfolio.Makespan) / float64(vr.Makespan)
 
-	st := h.cp.Stats()
-	h.printTable()
+	st := cp.Stats()
+	printHeadToHead(h)
 	fmt.Printf("comb vs variable-base: %d vs %d cycles (%.2fx) with %d ROM reads over %d windows\n",
-		h.portfolio.Makespan, vr.Makespan, ratio, st.ROMReads, len(tr.Graph.ROM))
+		h.Portfolio.Makespan, vr.Makespan, ratio, st.ROMReads, len(tr.Graph.ROM))
 
-	b.rep.add("fixedbase", fixedBaseResult{
-		TraceOps:             nOps,
+	b.rep.Add("fixedbase", benchreport.FixedBase{
+		HeadToHead:           h,
 		ROMWindows:           len(tr.Graph.ROM),
 		ROMReads:             st.ROMReads,
-		LowerBound:           h.portfolioR.LowerBound,
-		Single:               h.single,
-		Portfolio:            h.portfolio,
 		VariableBaseMakespan: vr.Makespan,
 		Ratio:                ratio,
-		Improvements:         h.portfolioR.Improvements,
-		Rounds:               h.rounds,
-		Seed:                 benchSchedSeed,
-		ScheduleHash:         fmt.Sprintf("%016x", h.portfolioR.ScheduleHash),
-		Deterministic:        true,
 		Validated:            len(vScalars),
 	})
 	return nil

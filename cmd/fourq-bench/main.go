@@ -48,6 +48,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/benchreport"
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/jobshop"
@@ -98,7 +99,7 @@ type bench struct {
 	lanes     []int  // lockstep widths swept by -exp batch
 	schedName string // -sched: "single" or "portfolio"
 	proc      *core.Processor
-	rep       *report
+	rep       *benchreport.Report
 }
 
 // config is the processor configuration of this invocation — every
@@ -151,7 +152,7 @@ func run(exp string, full bool, lanes, schedSolver, jsonPath, tracePath string) 
 	if schedSolver != "single" && schedSolver != "portfolio" {
 		return fmt.Errorf("-sched: unknown solver %q (valid: single, portfolio)", schedSolver)
 	}
-	b := &bench{full: full, lanes: widths, schedName: schedSolver, rep: newReport()}
+	b := &bench{full: full, lanes: widths, schedName: schedSolver, rep: benchreport.New()}
 	steps := []step{
 		{"profile", b.profile},
 		{"table1", b.table1},
@@ -214,7 +215,7 @@ func execute(b *bench, steps []step, exp, jsonPath, tracePath string) error {
 		if err := s.f(); err != nil {
 			err = fmt.Errorf("%s: %w", s.name, err)
 			fmt.Fprintln(os.Stderr, "fourq-bench:", err)
-			b.rep.fail(s.name, err)
+			b.rep.Fail(s.name, err)
 			errs = append(errs, err)
 			continue
 		}
@@ -228,14 +229,7 @@ func execute(b *bench, steps []step, exp, jsonPath, tracePath string) error {
 	}
 
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err == nil {
-			err = b.rep.write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := b.rep.WriteFile(jsonPath); err != nil {
 			errs = append(errs, fmt.Errorf("json: %w", err))
 		} else {
 			fmt.Printf("wrote structured results to %s\n", jsonPath)
@@ -280,7 +274,7 @@ func (b *bench) pareto() error {
 	}
 	fmt.Println("\nfinding: with a per-cycle control ROM, narrower multipliers lose on both axes;")
 	fmt.Println("the paper's full-throughput 3-core Karatsuba datapath is Pareto-optimal.")
-	b.rep.add("pareto", map[string]any{"points": pts})
+	b.rep.Add("pareto", map[string]any{"points": pts})
 	return nil
 }
 
@@ -299,10 +293,7 @@ func (b *bench) profile() error {
 	}
 	fmt.Printf("scheduled issue occupancy over %d cycles: multiplier %.1f%%, adder %.1f%%\n",
 		rst.Cycles, 100*rst.MulUtilization, 100*rst.AddUtilization)
-	b.rep.add("profile", map[string]any{
-		"trace_ops": st,
-		"rtl_stats": rst,
-	})
+	b.rep.Add("profile", benchreport.Profile{TraceOps: st, RTLStats: rst})
 	return nil
 }
 
@@ -329,7 +320,7 @@ func (b *bench) table1() error {
 	fmt.Printf("makespan: %d cycles (optimal proven: %v, lower bound %d) [paper's Table I: 25]\n\n",
 		r.Makespan, r.Optimal, r.LowerBound)
 	fmt.Println(r.Listing)
-	b.rep.add("table1", map[string]any{
+	b.rep.Add("table1", map[string]any{
 		"muls":            r.Muls,
 		"adds":            r.Adds,
 		"makespan":        r.Makespan,
@@ -343,16 +334,13 @@ func (b *bench) table1() error {
 // runStats executes one scalar multiplication bit-true on the RTL model
 // and returns its statistics (shared by the profile and latency
 // experiments; the run is milliseconds, the build dominates).
-func (b *bench) runStats() (stats rtlStats, err error) {
+func (b *bench) runStats() (benchreport.RTLStats, error) {
 	p, err := b.processor()
 	if err != nil {
-		return rtlStats{}, err
+		return benchreport.RTLStats{}, err
 	}
 	_, st, err := p.ScalarMult(traceScalar)
-	if err != nil {
-		return rtlStats{}, err
-	}
-	return rtlStats(st), nil
+	return benchreport.RTLStats(st), err
 }
 
 func (b *bench) latency() error {
@@ -384,8 +372,8 @@ func (b *bench) latency() error {
 
 	// Host-side single-thread SM/s, compiled execution plan vs the
 	// reference interpreter: the measured win of the ahead-of-time
-	// compile. Recorded in the report so benchcheck's compare mode can
-	// gate regressions against the committed baseline.
+	// compile. bench-compare gates it in pairs against the parent
+	// commit's build.
 	ex := p.NewExecutor()
 	compiledRate, err := measureRate(func() error {
 		_, _, err := ex.ScalarMultPoint(traceScalar, curve.GeneratorAffine())
@@ -404,17 +392,17 @@ func (b *bench) latency() error {
 	speedup := compiledRate / interpretedRate
 	fmt.Printf("host single-thread SM/s: compiled plan %.0f, interpreter %.0f (%.2fx)\n",
 		compiledRate, interpretedRate, speedup)
-	b.rep.add("latency", map[string]any{
-		"cycles_functional":   p.CyclesFunctional(),
-		"cycles_endo_modeled": p.CyclesEndoModeled(),
-		"fmax_mhz_1v20":       m.Fmax(1.2) / 1e6,
-		"latency_us_1v20":     m.Latency(1.2) * 1e6,
-		"latency_us_0v32":     m.Latency(0.32) * 1e6,
-		"rtl_stats":           rst,
-		"single_thread": map[string]any{
-			"compiled_sm_per_sec":    compiledRate,
-			"interpreted_sm_per_sec": interpretedRate,
-			"speedup":                speedup,
+	b.rep.Add("latency", benchreport.Latency{
+		CyclesFunctional:  p.CyclesFunctional(),
+		CyclesEndoModeled: p.CyclesEndoModeled(),
+		FmaxMHz1V20:       m.Fmax(1.2) / 1e6,
+		LatencyUS1V20:     m.Latency(1.2) * 1e6,
+		LatencyUS0V32:     m.Latency(0.32) * 1e6,
+		RTLStats:          rst,
+		SingleThread: benchreport.SingleThread{
+			CompiledSMPerSec:    compiledRate,
+			InterpretedSMPerSec: interpretedRate,
+			Speedup:             speedup,
 		},
 	})
 	return nil
@@ -460,7 +448,7 @@ func (b *bench) fig4() error {
 	}
 	fmt.Printf("model minimum energy: %.3f uJ at %.2f V [paper: 0.327 uJ at 0.32 V]\n",
 		r.MinEnergyJ*1e6, r.MinEnergyV)
-	b.rep.add("fig4", r)
+	b.rep.Add("fig4", r)
 	return nil
 }
 
@@ -509,7 +497,7 @@ func (b *bench) table2() error {
 		r.SpeedupVsP256ASIC, r.SpeedupVsFourQFPGA, r.EnergyGainVsECDSA)
 	fmt.Printf("same-silicon cross-check: FourQ %d cycles vs P-256 model %d (%.2fx) vs Curve25519 model %d (%.2fx)\n",
 		r.FourQCycles, r.P256ModelCycles, r.ModelSpeedupP256, r.C25519ModelCycles, r.ModelSpeedupC25519)
-	b.rep.add("table2", r)
+	b.rep.Add("table2", r)
 	return nil
 }
 
@@ -522,7 +510,7 @@ func (b *bench) fig3() error {
 	fmt.Println("area breakdown (calibrated to the published 1400 kGE):")
 	fmt.Println(br)
 	fmt.Printf("\n  [paper: 1400 kGE, %.2f mm x %.2f mm]\n", 1.76, 3.56)
-	b.rep.add("fig3", br)
+	b.rep.Add("fig3", br)
 	return nil
 }
 
@@ -546,7 +534,7 @@ func (b *bench) ablation() error {
 	}
 	fmt.Printf("write-back elision (full SM): %d of %d register-file writes removed (%.0f%%)\n",
 		el.ElidedWrites, el.TotalOps, 100*el.SavedShare)
-	b.rep.add("ablation", map[string]any{
+	b.rep.Add("ablation", map[string]any{
 		"methods":                   rows,
 		"forwarding_makespan":       withF,
 		"forwarding_plus1_makespan": withoutF,

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/benchreport"
 )
 
 // TestExecuteContinuesPastFailure is the regression test for the
@@ -15,16 +17,16 @@ import (
 // error so main exits non-zero.
 func TestExecuteContinuesPastFailure(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	b := &bench{rep: newReport()}
+	b := &bench{rep: benchreport.New()}
 
 	var ranAfter bool
 	boom := errors.New("synthetic experiment failure")
 	steps := []step{
-		{"first", func() error { b.rep.add("first", map[string]any{"ok": true}); return nil }},
+		{"first", func() error { b.rep.Add("first", map[string]any{"ok": true}); return nil }},
 		{"broken", func() error { return boom }},
 		{"after", func() error {
 			ranAfter = true
-			b.rep.add("after", map[string]any{"ok": true})
+			b.rep.Add("after", map[string]any{"ok": true})
 			return nil
 		}},
 	}
@@ -44,15 +46,11 @@ func TestExecuteContinuesPastFailure(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("JSON report not written after failure: %v", rerr)
 	}
-	var rep struct {
-		Schema      string                     `json:"schema"`
-		Experiments map[string]json.RawMessage `json:"experiments"`
-		Errors      map[string]string          `json:"errors"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
+	rep, err := benchreport.Decode(data)
+	if err != nil {
 		t.Fatalf("report does not parse: %v", err)
 	}
-	if rep.Schema != "fourq-bench/v1" {
+	if rep.Schema != benchreport.Schema {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
 	if _, ok := rep.Experiments["first"]; !ok {
@@ -70,8 +68,8 @@ func TestExecuteContinuesPastFailure(t *testing.T) {
 // in the document and a nil return.
 func TestExecuteCleanRunHasNoErrors(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	b := &bench{rep: newReport()}
-	steps := []step{{"only", func() error { b.rep.add("only", map[string]any{}); return nil }}}
+	b := &bench{rep: benchreport.New()}
+	steps := []step{{"only", func() error { b.rep.Add("only", map[string]any{}); return nil }}}
 	if err := execute(b, steps, "all", jsonPath, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +88,7 @@ func TestExecuteCleanRunHasNoErrors(t *testing.T) {
 
 // TestExecuteUnknownExperiment keeps the unknown-name diagnostics.
 func TestExecuteUnknownExperiment(t *testing.T) {
-	b := &bench{rep: newReport()}
+	b := &bench{rep: benchreport.New()}
 	err := execute(b, []step{{"real", func() error { return nil }}}, "nope", "", "")
 	if err == nil {
 		t.Fatal("unknown experiment accepted")

@@ -7,41 +7,11 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/benchreport"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/scalar"
 )
-
-// throughputPoint is one worker-count measurement of the batch engine.
-type throughputPoint struct {
-	Workers  int     `json:"workers"`
-	SMs      int     `json:"sms"`
-	Seconds  float64 `json:"seconds"`
-	SMPerSec float64 `json:"sm_per_sec"`
-	// Speedup is SMPerSec relative to the 1-worker baseline.
-	Speedup float64 `json:"speedup"`
-	// OracleOK records that every result was cross-checked against the
-	// functional curve model (core.ValidateOracle) and matched.
-	OracleOK bool `json:"oracle_ok"`
-}
-
-// throughputResult is the -exp throughput entry of the JSON report.
-type throughputResult struct {
-	NumCPU      int               `json:"num_cpu"`
-	SMsPerPoint int               `json:"sms_per_point"`
-	Points      []throughputPoint `json:"points"`
-	MaxSpeedup  float64           `json:"max_speedup"`
-	BuildShared bool              `json:"build_shared"`
-	QueueDepth  int               `json:"queue_depth"`
-	VerifiedAll bool              `json:"verified_all"`
-	// ScheduleCycles and Solver record the schedule every measured SM
-	// executed (the functional program's cycle count) and which solver
-	// produced it — the provenance linking a throughput number to the
-	// scheduling layer that earned it.
-	ScheduleCycles int    `json:"schedule_cycles"`
-	Solver         string `json:"solver"`
-	EngineCached   int    `json:"engine_cache_size"`
-}
 
 // throughput measures the batch engine's scalar-multiplication rate
 // versus worker-pool size (E8): the serving-layer answer to the paper's
@@ -87,7 +57,7 @@ func (b *bench) throughput() error {
 		reqs[i].K = scalar.Scalar{next(), next(), next(), next()}
 	}
 
-	res := throughputResult{
+	res := benchreport.Throughput{
 		NumCPU:         cpus,
 		SMsPerPoint:    smsPerPoint,
 		BuildShared:    true,
@@ -123,7 +93,7 @@ func (b *bench) throughput() error {
 			return fmt.Errorf("workers=%d: telemetry does not reconcile: completed=%d failed=%d",
 				w, snap.Counters["engine.completed"], snap.Counters["engine.failed"])
 		}
-		pt := throughputPoint{
+		pt := benchreport.ThroughputPoint{
 			Workers:  w,
 			SMs:      smsPerPoint,
 			Seconds:  dt.Seconds(),
@@ -148,6 +118,6 @@ func (b *bench) throughput() error {
 	if cpus == 1 {
 		fmt.Println("note: single-CPU host — worker scaling cannot exceed 1x here")
 	}
-	b.rep.add("throughput", res)
+	b.rep.Add("throughput", res)
 	return nil
 }

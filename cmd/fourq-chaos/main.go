@@ -13,16 +13,16 @@
 // answers, oracle disagreement, engine backpressure before shed,
 // unbounded recovery), so CI can gate on it directly; `make
 // chaos-record` commits the report as BENCH_chaos.json and `make ci`
-// validates it with scripts/benchcheck.
+// validates it with scripts/benchcheck (chaos.Report.Check).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"repro/internal/benchreport"
 	"repro/internal/chaos"
 )
 
@@ -58,17 +58,9 @@ func main() {
 	printSummary(rep)
 
 	if *jsonPath != "" {
-		doc := map[string]any{
-			"schema":      "fourq-bench/v1",
-			"experiments": map[string]any{"chaos": rep},
-		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fourq-chaos: marshal report: %v\n", err)
-			os.Exit(2)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
+		doc := benchreport.New()
+		doc.Add("chaos", rep)
+		if err := doc.WriteFile(*jsonPath); err != nil {
 			fmt.Fprintf(os.Stderr, "fourq-chaos: write %s: %v\n", *jsonPath, err)
 			os.Exit(2)
 		}

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/benchreport"
 	"repro/internal/scalar"
 	"repro/internal/schnorrq"
 )
@@ -158,14 +159,6 @@ type outcome struct {
 	err     error
 }
 
-// phaseStats is one fault-window phase's share of the run.
-type phaseStats struct {
-	Seconds    float64            `json:"seconds"`
-	Requests   map[string]int     `json:"requests"`
-	LatencyMS  map[string]float64 `json:"latency_ms"`
-	GoodputRPS float64            `json:"goodput_rps"`
-}
-
 // parseFaultWindow parses "start,end" run offsets.
 func parseFaultWindow(spec string, duration time.Duration) (start, end time.Duration, err error) {
 	sStr, eStr, ok := strings.Cut(spec, ",")
@@ -184,23 +177,13 @@ func parseFaultWindow(spec string, duration time.Duration) (start, end time.Dura
 	return start, end, nil
 }
 
-// serveStats is the experiments.<name> payload of the report —
-// scripts/benchcheck validates exactly these fields.
-type serveStats struct {
-	Target          string             `json:"target"`
-	OfferedRPS      float64            `json:"offered_rps"`
-	DurationSeconds float64            `json:"duration_seconds"`
-	Mix             string             `json:"mix"`
-	BatchSize       int                `json:"batch_size"`
-	Requests        map[string]int     `json:"requests"`
-	ShedRate        float64            `json:"shed_rate"`
-	LatencyMS       map[string]float64 `json:"latency_ms"`
-	GoodputRPS      float64            `json:"goodput_rps"`
-	GoodputSMPerSec float64            `json:"goodput_sm_per_sec"`
-	// FaultWindow and Phases are present only when -fault-window was
-	// given: the window spec and the before/during/after split.
-	FaultWindow string                 `json:"fault_window,omitempty"`
-	Phases      map[string]*phaseStats `json:"phases,omitempty"`
+// percentiles reads p50/p95/p99 off sorted latencies.
+func percentiles(sorted []time.Duration) benchreport.Percentiles {
+	return benchreport.Percentiles{
+		P50: percentileMS(sorted, 0.50),
+		P95: percentileMS(sorted, 0.95),
+		P99: percentileMS(sorted, 0.99),
+	}
 }
 
 func percentileMS(sorted []time.Duration, q float64) float64 {
@@ -317,14 +300,13 @@ loop:
 	wg.Wait()
 	close(outcomes)
 
-	stats := serveStats{
+	stats := benchreport.Serve{
 		Target:          target,
 		OfferedRPS:      rps,
 		DurationSeconds: duration.Seconds(),
 		Mix:             mix,
 		BatchSize:       batchSize,
 		Requests:        map[string]int{"total": 0, "ok": 0, "shed": 0, "rate_limited": 0, "failed": 0},
-		LatencyMS:       map[string]float64{},
 	}
 	phaseOf := func(at time.Duration) string {
 		switch {
@@ -339,21 +321,20 @@ loop:
 	var phaseLat map[string][]time.Duration
 	if faultWindow != "" {
 		stats.FaultWindow = faultWindow
-		stats.Phases = map[string]*phaseStats{
+		stats.Phases = map[string]*benchreport.ServePhase{
 			"before": {Seconds: fwStart.Seconds()},
 			"during": {Seconds: (fwEnd - fwStart).Seconds()},
 			"after":  {Seconds: (duration - fwEnd).Seconds()},
 		}
 		for _, ph := range stats.Phases {
 			ph.Requests = map[string]int{"total": 0, "ok": 0, "shed": 0, "rate_limited": 0, "failed": 0}
-			ph.LatencyMS = map[string]float64{}
 		}
 		phaseLat = map[string][]time.Duration{}
 	}
 	var okLat []time.Duration
 	smDone := 0
 	for o := range outcomes {
-		var ph *phaseStats
+		var ph *benchreport.ServePhase
 		var phName string
 		if stats.Phases != nil {
 			phName = phaseOf(o.at)
@@ -391,18 +372,14 @@ loop:
 		return fmt.Errorf("no requests launched (duration too short for rate %v?)", rps)
 	}
 	sort.Slice(okLat, func(i, j int) bool { return okLat[i] < okLat[j] })
-	stats.LatencyMS["p50"] = percentileMS(okLat, 0.50)
-	stats.LatencyMS["p95"] = percentileMS(okLat, 0.95)
-	stats.LatencyMS["p99"] = percentileMS(okLat, 0.99)
+	stats.LatencyMS = percentiles(okLat)
 	stats.ShedRate = float64(stats.Requests["shed"]) / float64(stats.Requests["total"])
 	stats.GoodputRPS = float64(stats.Requests["ok"]) / duration.Seconds()
 	stats.GoodputSMPerSec = float64(smDone) / duration.Seconds()
 	for name, ph := range stats.Phases {
 		lat := phaseLat[name]
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		ph.LatencyMS["p50"] = percentileMS(lat, 0.50)
-		ph.LatencyMS["p95"] = percentileMS(lat, 0.95)
-		ph.LatencyMS["p99"] = percentileMS(lat, 0.99)
+		ph.LatencyMS = percentiles(lat)
 		if ph.Seconds > 0 {
 			ph.GoodputRPS = float64(ph.Requests["ok"]) / ph.Seconds
 		}
@@ -413,14 +390,14 @@ loop:
 		stats.Requests["ok"], stats.Requests["shed"], 100*stats.ShedRate,
 		stats.Requests["rate_limited"], stats.Requests["failed"])
 	fmt.Printf("fourq-loadgen: latency p50=%.2fms p95=%.2fms p99=%.2fms, goodput %.1f req/s (%.1f SM/s)\n",
-		stats.LatencyMS["p50"], stats.LatencyMS["p95"], stats.LatencyMS["p99"],
+		stats.LatencyMS.P50, stats.LatencyMS.P95, stats.LatencyMS.P99,
 		stats.GoodputRPS, stats.GoodputSMPerSec)
 
 	for _, name := range []string{"before", "during", "after"} {
 		if ph := stats.Phases[name]; ph != nil {
 			fmt.Printf("fourq-loadgen: %-6s %5.1fs: %4d ok, %4d shed, %3d throttled, %3d failed, goodput %.1f req/s, p99 %.2fms\n",
 				name, ph.Seconds, ph.Requests["ok"], ph.Requests["shed"],
-				ph.Requests["rate_limited"], ph.Requests["failed"], ph.GoodputRPS, ph.LatencyMS["p99"])
+				ph.Requests["rate_limited"], ph.Requests["failed"], ph.GoodputRPS, ph.LatencyMS.P99)
 		}
 	}
 
@@ -429,16 +406,9 @@ loop:
 	}
 
 	if jsonPath != "" {
-		report := map[string]any{
-			"schema":      "fourq-bench/v1",
-			"experiments": map[string]any{expName: stats},
-		}
-		b, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(jsonPath, b, 0o644); err != nil {
+		rep := benchreport.New()
+		rep.Add(expName, stats)
+		if err := rep.WriteFile(jsonPath); err != nil {
 			return err
 		}
 		fmt.Printf("fourq-loadgen: wrote report to %s\n", jsonPath)

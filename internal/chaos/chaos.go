@@ -23,13 +23,15 @@
 // keys, messages, traffic mix) is derived from Options.Seed, and each
 // scenario folds its name into the stream so scenario selection does
 // not shift another scenario's workload. Results aggregate into a
-// Report shaped for the fourq-bench/v1 "chaos" experiment, gated in CI
-// by scripts/benchcheck against the committed BENCH_chaos.json.
+// Report, the fourq-bench/v1 "chaos" experiment; scripts/benchcheck
+// runs its Check on fresh campaigns and on the committed
+// BENCH_chaos.json.
 package chaos
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -84,7 +86,7 @@ type ScenarioResult struct {
 }
 
 // Report is the campaign aggregate, embedded as the "chaos" experiment
-// of a fourq-bench/v1 document.
+// of a fourq-bench/v1 document (see Check).
 type Report struct {
 	Seed             int64            `json:"seed"`
 	Requests         int              `json:"requests_per_phase"`
@@ -96,6 +98,76 @@ type Report struct {
 	EngineRejected   int64            `json:"engine_rejected"`
 	MinRecoveryRatio *float64         `json:"min_recovery_ratio,omitempty"`
 	Violations       []string         `json:"violations"`
+}
+
+// Check validates a recorded campaign: it injected faults, every
+// scenario carries reconciled tallies, and the recorded invariants
+// hold — zero lost, duplicated or mis-answered requests, zero engine
+// rejections, recovery ratios at or above the floor, and no violation.
+// A report whose own numbers breach an invariant is a recording bug,
+// not evidence of robustness.
+func (r *Report) Check() error {
+	if r.Requests <= 0 {
+		return fmt.Errorf("requests_per_phase = %d, want > 0", r.Requests)
+	}
+	if len(r.Scenarios) == 0 {
+		return fmt.Errorf("no scenarios recorded")
+	}
+	if r.FaultsInjected == 0 {
+		return fmt.Errorf("campaign injected zero faults — nothing was tested")
+	}
+	if len(r.Violations) > 0 {
+		return fmt.Errorf("report records %d invariant violation(s): %s",
+			len(r.Violations), strings.Join(r.Violations, "; "))
+	}
+	var faults int64
+	ratios := 0
+	for _, sc := range r.Scenarios {
+		q := sc.Requests
+		switch {
+		case sc.Name == "":
+			return fmt.Errorf("scenario with no name")
+		case sc.FaultsInjected == 0:
+			return fmt.Errorf("scenario %s injected zero faults", sc.Name)
+		case q["total"] <= 0:
+			return fmt.Errorf("scenario %s issued no requests", sc.Name)
+		case q["ok"] <= 0:
+			return fmt.Errorf("scenario %s answered no request successfully", sc.Name)
+		case q["ok"]+q["shed"]+q["rate_limited"]+q["canceled"]+q["drained"]+q["failed"] != q["total"]:
+			return fmt.Errorf("scenario %s tallies do not sum to total = %d", sc.Name, q["total"])
+		case sc.Lost != 0 || sc.Duplicates != 0:
+			return fmt.Errorf("scenario %s lost=%d duplicates=%d, want 0/0 (exactly-once broken)",
+				sc.Name, sc.Lost, sc.Duplicates)
+		case sc.MisAnswered != 0:
+			return fmt.Errorf("scenario %s mis_answered = %d, want 0", sc.Name, sc.MisAnswered)
+		case sc.EngineRejected != 0:
+			return fmt.Errorf("scenario %s engine_rejected = %d, want 0 (shed must precede backpressure)",
+				sc.Name, sc.EngineRejected)
+		case len(sc.Violations) > 0:
+			return fmt.Errorf("scenario %s records violations: %s", sc.Name, strings.Join(sc.Violations, "; "))
+		}
+		if sc.RecoveryRatio != nil {
+			ratios++
+			if *sc.RecoveryRatio < recoveryFloor {
+				return fmt.Errorf("scenario %s recovery_ratio = %.2f, below the %.2f floor",
+					sc.Name, *sc.RecoveryRatio, recoveryFloor)
+			}
+		}
+		faults += sc.FaultsInjected
+	}
+	if faults != r.FaultsInjected {
+		return fmt.Errorf("per-scenario faults sum to %d, campaign total says %d", faults, r.FaultsInjected)
+	}
+	if ratios == 0 {
+		return fmt.Errorf("no scenario measured a recovery ratio")
+	}
+	if r.MinRecoveryRatio == nil {
+		return fmt.Errorf("min_recovery_ratio missing")
+	}
+	if *r.MinRecoveryRatio < recoveryFloor {
+		return fmt.Errorf("min_recovery_ratio = %.2f, below the %.2f floor", *r.MinRecoveryRatio, recoveryFloor)
+	}
+	return nil
 }
 
 // scenario is one named campaign entry.

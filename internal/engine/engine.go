@@ -84,14 +84,6 @@ type Options struct {
 	// MaxAttempts bounds RTL tries per request (first try included)
 	// before the request falls back to the software backend. Default 3.
 	MaxAttempts int
-	// BackoffBase / BackoffMax shape the exponential backoff slept
-	// between RTL retries (base << attempt, capped at max, with seeded
-	// jitter). Defaults 200µs / 10ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BackoffSeed seeds the per-worker jitter streams; retry timing is
-	// deterministic per (seed, worker).
-	BackoffSeed int64
 	// Clock drives backoff sleeps and breaker cooldowns; tests inject a
 	// fake. Defaults to the real time.
 	Clock Clock
@@ -369,12 +361,6 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 3
 	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 200 * time.Microsecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 10 * time.Millisecond
-	}
 	if opts.Clock == nil {
 		opts.Clock = realClock{}
 	}
@@ -461,7 +447,6 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 	e.fr.SetMeta("queue_depth", opts.QueueDepth)
 	e.fr.SetMeta("lane_width", opts.LaneWidth)
 	e.fr.SetMeta("max_attempts", opts.MaxAttempts)
-	e.fr.SetMeta("backoff_seed", opts.BackoffSeed)
 	e.fr.SetMeta("quarantine_after", opts.QuarantineAfter)
 	e.fr.SetMeta("breaker_window", opts.BreakerWindow)
 	e.active.Set(float64(opts.Workers))
@@ -480,7 +465,7 @@ func NewWithProcessor(p *core.Processor, opts Options) *Engine {
 		w := &workerState{
 			id:         i,
 			ex:         ex,
-			rng:        jitterRNG(uint64(opts.BackoffSeed) ^ uint64(i+1)*0x9E3779B97F4A7C15),
+			rng:        jitterRNG(uint64(i+1) * 0x9E3779B97F4A7C15),
 			stateGauge: reg.Gauge(fmt.Sprintf("%s.worker_%d_state", ns, i)),
 			jobs:       make([]*job, 0, opts.LaneWidth),
 			batch:      newLaneBuf(opts.LaneWidth),
@@ -920,7 +905,7 @@ func (e *Engine) executeFrom(w *workerState, j *job, prior int) Result {
 		if prior > 0 && prior < e.opts.MaxAttempts {
 			e.retries.Inc()
 			e.fr.Record("retry", w.id, j.id, prior, "")
-			e.clock.Sleep(backoffDelay(e.opts.BackoffBase, e.opts.BackoffMax, prior-1, &w.rng))
+			e.clock.Sleep(backoffDelay(backoffBase, backoffMax, prior-1, &w.rng))
 		}
 		for attempt := prior; attempt < e.opts.MaxAttempts; attempt++ {
 			if !e.brk.allowRTL(e.clock.Now()) {
@@ -943,7 +928,7 @@ func (e *Engine) executeFrom(w *workerState, j *job, prior int) Result {
 			if attempt+1 < e.opts.MaxAttempts {
 				e.retries.Inc()
 				e.fr.Record("retry", w.id, j.id, r.Attempts, "")
-				e.clock.Sleep(backoffDelay(e.opts.BackoffBase, e.opts.BackoffMax, attempt, &w.rng))
+				e.clock.Sleep(backoffDelay(backoffBase, backoffMax, attempt, &w.rng))
 			}
 		}
 	}

@@ -27,9 +27,17 @@ type realClock struct{}
 func (realClock) Now() time.Time        { return time.Now() }
 func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
 
+// The backoff slept between RTL retries: backoffBase << attempt,
+// capped at backoffMax, with jitter.
+const (
+	backoffBase = 200 * time.Microsecond
+	backoffMax  = 10 * time.Millisecond
+)
+
 // jitterRNG is a splitmix64 stream seeding the backoff jitter; each
-// worker owns one, so retry timing is deterministic per (seed, worker)
-// and never synchronized across workers (no retry stampedes).
+// worker owns one, seeded by its index, so retry timing is
+// deterministic per worker and never synchronized across workers (no
+// retry stampedes).
 type jitterRNG uint64
 
 func (s *jitterRNG) next() uint64 {

@@ -76,8 +76,8 @@ type Trial struct {
 	Fired int `json:"fired"`
 }
 
-// CampaignMeta is the replay recipe. Validators (scripts/benchcheck)
-// reject fault reports that carry corruption rates without it.
+// CampaignMeta is the replay recipe. Report.Check rejects a report
+// that quotes corruption rates without it.
 type CampaignMeta struct {
 	Seed   int64    `json:"seed"`
 	Trials int      `json:"trials"`
@@ -101,6 +101,42 @@ type Report struct {
 	DetectionCoverage float64              `json:"detection_coverage"`
 	BySite            map[string]SiteTally `json:"by_site"`
 	Trials            []Trial              `json:"trial_log"`
+}
+
+// Check validates a campaign report: the replay recipe is complete
+// (an unreproducible corruption rate is not evidence), and every tally
+// reconciles with the trial count.
+func (r *Report) Check() error {
+	c := r.Campaign
+	switch {
+	case c.Trials <= 0:
+		return fmt.Errorf("campaign.trials = %d, want > 0", c.Trials)
+	case len(c.Sites) == 0:
+		return fmt.Errorf("campaign.sites empty")
+	case c.Validation == "":
+		return fmt.Errorf("campaign.validation missing (which detector was classified against?)")
+	}
+	if got := r.Detected + r.Silent + r.Masked; got != c.Trials {
+		return fmt.Errorf("detected+silent+masked = %d, want trials = %d", got, c.Trials)
+	}
+	if r.DetectionCoverage < 0 || r.DetectionCoverage > 1 {
+		return fmt.Errorf("detection_coverage = %v, want in [0, 1]", r.DetectionCoverage)
+	}
+	var sum SiteTally
+	for site, t := range r.BySite {
+		if t.Detected+t.Silent+t.Masked != t.Trials {
+			return fmt.Errorf("site %q tally does not reconcile", site)
+		}
+		sum.Trials += t.Trials
+		sum.Detected += t.Detected
+		sum.Silent += t.Silent
+		sum.Masked += t.Masked
+	}
+	if sum != (SiteTally{c.Trials, r.Detected, r.Silent, r.Masked}) {
+		return fmt.Errorf("by_site totals (%d/%d/%d/%d) disagree with the campaign totals (%d/%d/%d/%d)",
+			sum.Trials, sum.Detected, sum.Silent, sum.Masked, c.Trials, r.Detected, r.Silent, r.Masked)
+	}
+	return nil
 }
 
 // splitmix64 is the campaign RNG: tiny, seedable, stable across Go

@@ -24,6 +24,7 @@
 package fault
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/fp"
@@ -81,6 +82,13 @@ func (s Site) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf("%q", s.String())), nil
 }
 
+// UnmarshalJSON reads the site back from its name.
+func (s *Site) UnmarshalJSON(b []byte) error {
+	i, err := unmarshalName(b, siteNames[:])
+	*s = Site(i)
+	return err
+}
+
 // AllSites lists every injectable site, in address order.
 func AllSites() []Site {
 	return []Site{SiteRegFile, SitePipeMul, SitePipeAdd, SiteFwdMul, SiteFwdAdd, SiteROM}
@@ -112,6 +120,27 @@ func (k Kind) String() string {
 // MarshalJSON renders the kind as its name.
 func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf("%q", k.String())), nil
+}
+
+// UnmarshalJSON reads the kind back from its name.
+func (k *Kind) UnmarshalJSON(b []byte) error {
+	i, err := unmarshalName(b, kindNames[:])
+	*k = Kind(i)
+	return err
+}
+
+// unmarshalName returns the index of the JSON string b in names.
+func unmarshalName(b []byte, names []string) (int, error) {
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return 0, err
+	}
+	for i, n := range names {
+		if n == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("fault: unknown name %q", name)
 }
 
 // WordBits is the fault-addressable width of a GF(p^2) datapath word:

@@ -172,6 +172,24 @@ func TestCampaignReplayableByteForByte(t *testing.T) {
 	}
 }
 
+// TestCampaignPinned pins the outcome counts of the seeded campaign
+// fourq-bench -exp faults reports (seed 0xF4017, 64 trials, every site,
+// the default processor build). The campaign is deterministic, so any
+// drift means the RTL or the injector contract moved. The report must
+// also pass its own Check.
+func TestCampaignPinned(t *testing.T) {
+	rep, err := Campaign(testProc(t), CampaignConfig{Seed: 0xF4017, Trials: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Detected != 22 || rep.Silent != 0 || rep.Masked != 42 {
+		t.Fatalf("detected/silent/masked = %d/%d/%d, want 22/0/42", rep.Detected, rep.Silent, rep.Masked)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCampaignClassificationReconciles(t *testing.T) {
 	p := testProc(t)
 	rep, err := Campaign(p, CampaignConfig{Seed: 7, Trials: 40, Registry: telemetry.NewRegistry()})

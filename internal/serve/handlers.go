@@ -99,6 +99,9 @@ const (
 
 func weightBatch(n int) int { return 2*n + 1 }
 
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 1 << 20
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -178,7 +181,7 @@ func (s *Server) handleAPI(w http.ResponseWriter, r *http.Request, parse func(bo
 	if !s.checkTenant(w, r) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "body: "+err.Error())

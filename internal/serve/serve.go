@@ -105,8 +105,6 @@ type Options struct {
 	// MaxBatch bounds the item count of one batch-verify request.
 	// Defaults to 64; larger batches are refused with 400.
 	MaxBatch int
-	// MaxBodyBytes bounds a request body. Defaults to 1 MiB.
-	MaxBodyBytes int64
 	// ShedHighWater is the fraction of a shard's engine queue capacity
 	// at which admission sheds new work with 503. Defaults to 0.8; the
 	// effective per-shard weight limit is always at least 1.
@@ -285,9 +283,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 64
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 1 << 20
 	}
 	if opts.ShedHighWater <= 0 || opts.ShedHighWater > 1 {
 		opts.ShedHighWater = 0.8

@@ -1,951 +1,100 @@
-// Command benchcheck validates a fourq-bench -json report. It is the CI
-// smoke test for the machine-readable benchmark output: it asserts the
-// document parses, carries the expected schema, records no failed
-// experiments, and that the latency experiment recorded a real RTL run
-// (positive cycle count, per-unit utilization, and forwarding/elision
-// counters). When the throughput experiment is present its points must
-// be internally consistent (positive rates, oracle-verified results).
-// When the batch experiment is present its lockstep lane-width sweep
-// must exist, be oracle-verified, and be monotone in SM/s — a wider
-// batch measuring slower is only accepted when the report carries a
-// note saying why.
-// When the faults experiment is present its outcome tallies must
-// reconcile with the trial count, and a report quoting a silent-
-// corruption rate without the campaign metadata (seed, trials, sites,
-// validation level) is rejected outright: an unreproducible fault rate
-// is not evidence.
-// When the serve experiment is present (fourq-loadgen -json) it must
-// carry the latency percentiles (p50/p95/p99, ordered) and the
-// shed-rate metadata, its request tallies must reconcile with the
-// offered total, and a run where nothing succeeded is rejected — a
-// goodput figure with no successful requests behind it is not a
-// measurement.
-// When the chaos experiment is present (fourq-chaos -json) the
-// campaign must have injected faults, every scenario must carry its
-// replay seed with reconciled tallies, and the recorded invariants
-// (exactly-once, zero mis-answers, shed-before-backpressure, recovery
-// at or above the 90% floor) must hold with an empty violation list.
+// Command benchcheck validates fourq-bench/v1 reports (written by
+// fourq-bench, fourq-loadgen and fourq-chaos) and compares them through
+// the rule table of internal/benchreport. Every report given must
+// decode with each checked experiment complete, record no failed
+// experiment, and pass its experiments' Check methods.
 //
-// With -baseline it additionally runs in compare mode: the SM/s metrics
-// shared by the report and the baseline (the throughput experiment's
-// peak rate, the latency experiment's single-thread compiled rate, the
-// batch experiment's peak lockstep lane rate) must
-// not have regressed by more than -tolerance (default 10%). This is the
-// perf-regression gate `make bench-compare` runs against the committed
-// BENCH_rtl.json.
+// With -baseline, every exact row shared with the recorded baseline —
+// makespans, schedule hashes, cycles/SM, lower bounds, trace op counts,
+// ROM sizes — must match it with zero tolerance. With -parent, the
+// host SM/s rows are compared in pairs: the reports matched by the
+// glob, sorted, pair in order with the reports given, and the median
+// per-pair ratio of each row must stay at or above 1 - tolerance.
+// Host numbers are never compared against a recorded baseline: they do
+// not carry between hosts or sessions.
 //
-//	go run ./cmd/fourq-bench -exp latency -json /tmp/bench.json
 //	go run ./scripts/benchcheck /tmp/bench.json
-//	go run ./scripts/benchcheck -baseline BENCH_rtl.json /tmp/bench.json
+//	go run ./scripts/benchcheck -baseline BENCH_rtl.json /tmp/exact.json
+//	go run ./scripts/benchcheck -parent '/tmp/pairs/parent-*.json' /tmp/pairs/head-*.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
+	"path/filepath"
+
+	"repro/internal/benchreport"
 )
 
 func main() {
-	baseline := flag.String("baseline", "", "baseline report to compare SM/s metrics against (fails on regression)")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional SM/s regression vs the baseline")
+	baseline := flag.String("baseline", "", "recorded report whose exact rows every report must match")
+	parent := flag.String("parent", "", "glob naming the parent build's reports, paired in sorted order with the reports given")
+	tolerance := flag.Float64("tolerance", 0.10, "allowed drop of a host row's median paired ratio below 1")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck [-baseline base.json] [-tolerance 0.10] <bench.json>")
+	if flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck [-baseline base.json] [-parent 'glob' [-tolerance 0.10]] <report.json>...")
 		os.Exit(2)
 	}
-	data, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
+	if err := run(flag.Args(), *baseline, *parent, *tolerance); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(1)
-	}
-	if err := check(data); err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(1)
-	}
-	if *baseline != "" {
-		base, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(1)
-		}
-		if err := compare(base, data, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(1)
-		}
 	}
 	fmt.Println("benchcheck: ok")
 }
 
-// report mirrors the subset of the fourq-bench/v1 schema the check
-// inspects. Experiments stay raw so each known experiment can be decoded
-// into its own shape.
-type report struct {
-	Schema      string                     `json:"schema"`
-	Experiments map[string]json.RawMessage `json:"experiments"`
-	Errors      map[string]string          `json:"errors"`
-}
-
-type rtlStats struct {
-	Cycles         int     `json:"cycles"`
-	MulUtilization float64 `json:"mul_utilization"`
-	AddUtilization float64 `json:"add_utilization"`
-	ForwardedReads *int    `json:"forwarded_reads"`
-	ElidedWrites   *int    `json:"elided_writes"`
-}
-
-type batchExp struct {
-	LaneWidths []struct {
-		Width    int     `json:"width"`
-		SMPerSec float64 `json:"sm_per_sec"`
-		Speedup  float64 `json:"speedup"`
-		OracleOK bool    `json:"oracle_ok"`
-	} `json:"lane_widths"`
-	PeakLaneSMPerSec float64 `json:"peak_lane_sm_per_sec"`
-	Engine           *struct {
-		LaneWidth int     `json:"lane_width"`
-		SMPerSec  float64 `json:"sm_per_sec"`
-		LaneRuns  int64   `json:"lane_runs"`
-		LaneLanes int64   `json:"lane_lanes"`
-		OracleOK  bool    `json:"oracle_ok"`
-	} `json:"engine"`
-	Note        string `json:"note"`
-	VerifiedAll bool   `json:"verified_all"`
-}
-
-type throughputExp struct {
-	NumCPU      int `json:"num_cpu"`
-	SMsPerPoint int `json:"sms_per_point"`
-	Points      []struct {
-		Workers  int     `json:"workers"`
-		SMs      int     `json:"sms"`
-		SMPerSec float64 `json:"sm_per_sec"`
-		Speedup  float64 `json:"speedup"`
-		OracleOK bool    `json:"oracle_ok"`
-	} `json:"points"`
-	VerifiedAll    bool   `json:"verified_all"`
-	ScheduleCycles int    `json:"schedule_cycles"`
-	Solver         string `json:"solver"`
-}
-
-// schedExp mirrors the -exp sched report entry (scheduler head-to-head).
-type schedExp struct {
-	TraceOps      int             `json:"trace_ops"`
-	LowerBound    int             `json:"lower_bound"`
-	Single        *schedSolverRow `json:"single"`
-	Portfolio     *schedSolverRow `json:"portfolio"`
-	ScheduleHash  string          `json:"schedule_hash"`
-	Deterministic bool            `json:"deterministic"`
-}
-
-func check(data []byte) error {
-	var r report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return fmt.Errorf("parse: %w", err)
+func run(paths []string, baseline, parent string, tol float64) error {
+	reports, err := load(paths)
+	if err != nil {
+		return err
 	}
-	if r.Schema != "fourq-bench/v1" {
-		return fmt.Errorf("schema = %q, want fourq-bench/v1", r.Schema)
-	}
-	// A partial report must never pass: any recorded experiment failure
-	// fails the whole check, even though the document itself parses.
-	if len(r.Errors) > 0 {
-		names := make([]string, 0, len(r.Errors))
-		for name := range r.Errors {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		return fmt.Errorf("report records failed experiments: %s", strings.Join(names, ", "))
-	}
-	if len(r.Experiments) == 0 {
-		return fmt.Errorf("no experiments in report")
-	}
-	st := (*rtlStats)(nil)
-	for _, raw := range r.Experiments {
-		var e struct {
-			RTLStats *rtlStats `json:"rtl_stats"`
-		}
-		if err := json.Unmarshal(raw, &e); err == nil && e.RTLStats != nil {
-			st = e.RTLStats
-			break
-		}
-	}
-	tp, hasThroughput := r.Experiments["throughput"]
-	if hasThroughput {
-		if err := checkThroughput(tp); err != nil {
+	if baseline != "" {
+		base, err := load([]string{baseline})
+		if err != nil {
 			return err
 		}
-	}
-	fa, hasFaults := r.Experiments["faults"]
-	if hasFaults {
-		if err := checkFaults(fa); err != nil {
-			return err
-		}
-	}
-	ba, hasBatch := r.Experiments["batch"]
-	if hasBatch {
-		if err := checkBatch(ba); err != nil {
-			return err
-		}
-	}
-	sv, hasServe := r.Experiments["serve"]
-	if hasServe {
-		if err := checkServe(sv); err != nil {
-			return err
-		}
-	}
-	chx, hasChaos := r.Experiments["chaos"]
-	if hasChaos {
-		if err := checkChaos(chx); err != nil {
-			return err
-		}
-	}
-	sc, hasSched := r.Experiments["sched"]
-	if hasSched {
-		if err := checkSched(sc); err != nil {
-			return err
-		}
-	}
-	fb, hasFixedBase := r.Experiments["fixedbase"]
-	if hasFixedBase {
-		if err := checkFixedBase(fb); err != nil {
-			return err
-		}
-	}
-	if st == nil && !hasThroughput && !hasFaults && !hasBatch && !hasServe && !hasChaos && !hasSched && !hasFixedBase {
-		return fmt.Errorf("no experiment carries rtl_stats (run -exp latency or -exp profile)")
-	}
-	if st != nil {
-		if st.Cycles <= 0 {
-			return fmt.Errorf("rtl_stats.cycles = %d, want > 0", st.Cycles)
-		}
-		if st.MulUtilization <= 0 || st.MulUtilization > 1 {
-			return fmt.Errorf("rtl_stats.mul_utilization = %v, want in (0, 1]", st.MulUtilization)
-		}
-		if st.AddUtilization <= 0 || st.AddUtilization > 1 {
-			return fmt.Errorf("rtl_stats.add_utilization = %v, want in (0, 1]", st.AddUtilization)
-		}
-		if st.ForwardedReads == nil {
-			return fmt.Errorf("rtl_stats.forwarded_reads missing")
-		}
-		if st.ElidedWrites == nil {
-			return fmt.Errorf("rtl_stats.elided_writes missing")
-		}
-	}
-	return nil
-}
-
-// checkThroughput validates the batch-engine experiment: every point
-// must report a positive rate for a positive worker count, carry the
-// advertised number of scalar multiplications, and have passed the
-// functional-model oracle check.
-func checkThroughput(raw json.RawMessage) error {
-	var tp throughputExp
-	if err := json.Unmarshal(raw, &tp); err != nil {
-		return fmt.Errorf("throughput: parse: %w", err)
-	}
-	if len(tp.Points) == 0 {
-		return fmt.Errorf("throughput: no points")
-	}
-	if tp.SMsPerPoint <= 0 {
-		return fmt.Errorf("throughput: sms_per_point = %d, want > 0", tp.SMsPerPoint)
-	}
-	if !tp.VerifiedAll {
-		return fmt.Errorf("throughput: verified_all = false")
-	}
-	if tp.ScheduleCycles <= 0 {
-		return fmt.Errorf("throughput: schedule_cycles = %d, want > 0 (what schedule did the SMs run?)", tp.ScheduleCycles)
-	}
-	if tp.Solver == "" {
-		return fmt.Errorf("throughput: solver missing (scheduling provenance is part of the result)")
-	}
-	for i, p := range tp.Points {
-		if p.Workers < 1 {
-			return fmt.Errorf("throughput point %d: workers = %d, want >= 1", i, p.Workers)
-		}
-		if p.SMs != tp.SMsPerPoint {
-			return fmt.Errorf("throughput point %d: sms = %d, want %d", i, p.SMs, tp.SMsPerPoint)
-		}
-		if p.SMPerSec <= 0 {
-			return fmt.Errorf("throughput point %d: sm_per_sec = %v, want > 0", i, p.SMPerSec)
-		}
-		if p.Speedup <= 0 {
-			return fmt.Errorf("throughput point %d: speedup = %v, want > 0", i, p.Speedup)
-		}
-		if !p.OracleOK {
-			return fmt.Errorf("throughput point %d: oracle_ok = false", i)
-		}
-	}
-	return nil
-}
-
-// checkBatch validates the lockstep lane-batching experiment: the
-// lane-width sweep must be present, every point oracle-verified with a
-// positive rate at an ascending width, and the sweep monotone in SM/s
-// — a wider batch that measures slower is only accepted when the
-// report says why (the "note" field). The engine point, when present,
-// must prove the lockstep path actually served lanes.
-func checkBatch(raw json.RawMessage) error {
-	var ba batchExp
-	if err := json.Unmarshal(raw, &ba); err != nil {
-		return fmt.Errorf("batch: parse: %w", err)
-	}
-	if len(ba.LaneWidths) == 0 {
-		return fmt.Errorf("batch: no lane_widths points (the lane sweep is the experiment)")
-	}
-	if !ba.VerifiedAll {
-		return fmt.Errorf("batch: verified_all = false")
-	}
-	peak := 0.0
-	for i, p := range ba.LaneWidths {
-		if p.Width < 1 {
-			return fmt.Errorf("batch point %d: width = %d, want >= 1", i, p.Width)
-		}
-		if i > 0 && p.Width <= ba.LaneWidths[i-1].Width {
-			return fmt.Errorf("batch point %d: width %d not ascending", i, p.Width)
-		}
-		if p.SMPerSec <= 0 {
-			return fmt.Errorf("batch point %d: sm_per_sec = %v, want > 0", i, p.SMPerSec)
-		}
-		if p.Speedup <= 0 {
-			return fmt.Errorf("batch point %d: speedup = %v, want > 0", i, p.Speedup)
-		}
-		if !p.OracleOK {
-			return fmt.Errorf("batch point %d: oracle_ok = false", i)
-		}
-		if i > 0 && p.SMPerSec < ba.LaneWidths[i-1].SMPerSec && ba.Note == "" {
-			return fmt.Errorf("batch: sm_per_sec drops at width %d with no note explaining it", p.Width)
-		}
-		if p.SMPerSec > peak {
-			peak = p.SMPerSec
-		}
-	}
-	if ba.PeakLaneSMPerSec != peak {
-		return fmt.Errorf("batch: peak_lane_sm_per_sec = %v, but the sweep's maximum is %v", ba.PeakLaneSMPerSec, peak)
-	}
-	if e := ba.Engine; e != nil {
-		if e.SMPerSec <= 0 {
-			return fmt.Errorf("batch engine: sm_per_sec = %v, want > 0", e.SMPerSec)
-		}
-		if e.LaneRuns < 1 || e.LaneLanes < int64(e.LaneWidth) {
-			return fmt.Errorf("batch engine: lockstep path unused (lane_runs=%d lane_lanes=%d, width %d)",
-				e.LaneRuns, e.LaneLanes, e.LaneWidth)
-		}
-		if !e.OracleOK {
-			return fmt.Errorf("batch engine: oracle_ok = false")
-		}
-	}
-	return nil
-}
-
-type serveExp struct {
-	OfferedRPS      float64             `json:"offered_rps"`
-	DurationSeconds float64             `json:"duration_seconds"`
-	Requests        map[string]int      `json:"requests"`
-	ShedRate        *float64            `json:"shed_rate"`
-	LatencyMS       map[string]*float64 `json:"latency_ms"`
-	GoodputRPS      float64             `json:"goodput_rps"`
-	GoodputSMPerSec float64             `json:"goodput_sm_per_sec"`
-}
-
-// checkServe validates the fourq-loadgen service benchmark. The two
-// non-negotiables are the latency percentiles and the shed-rate
-// metadata: a service benchmark quoting goodput without saying what
-// latency the survivors paid, or how much offered load was refused, is
-// cherry-picking.
-func checkServe(raw json.RawMessage) error {
-	var sv serveExp
-	if err := json.Unmarshal(raw, &sv); err != nil {
-		return fmt.Errorf("serve: parse: %w", err)
-	}
-	if sv.OfferedRPS <= 0 {
-		return fmt.Errorf("serve: offered_rps = %v, want > 0", sv.OfferedRPS)
-	}
-	if sv.DurationSeconds <= 0 {
-		return fmt.Errorf("serve: duration_seconds = %v, want > 0", sv.DurationSeconds)
-	}
-	total, ok := sv.Requests["total"], sv.Requests["ok"]
-	if sv.Requests == nil || total <= 0 {
-		return fmt.Errorf("serve: requests.total = %d, want > 0", total)
-	}
-	if ok <= 0 {
-		return fmt.Errorf("serve: requests.ok = %d — a run with no successful request is not a measurement", ok)
-	}
-	if sum := ok + sv.Requests["shed"] + sv.Requests["rate_limited"] + sv.Requests["failed"]; sum != total {
-		return fmt.Errorf("serve: request tallies sum to %d, want total = %d", sum, total)
-	}
-	if sv.ShedRate == nil {
-		return fmt.Errorf("serve: shed_rate missing (overload behavior is part of the result)")
-	}
-	if r := *sv.ShedRate; r < 0 || r > 1 {
-		return fmt.Errorf("serve: shed_rate = %v, want in [0, 1]", r)
-	}
-	var prev float64
-	for _, q := range []string{"p50", "p95", "p99"} {
-		p := sv.LatencyMS[q]
-		if p == nil {
-			return fmt.Errorf("serve: latency_ms.%s missing (percentiles are required)", q)
-		}
-		if *p <= 0 {
-			return fmt.Errorf("serve: latency_ms.%s = %v, want > 0", q, *p)
-		}
-		if *p < prev {
-			return fmt.Errorf("serve: latency_ms.%s = %v below a lower percentile (%v)", q, *p, prev)
-		}
-		prev = *p
-	}
-	if sv.GoodputRPS <= 0 {
-		return fmt.Errorf("serve: goodput_rps = %v, want > 0", sv.GoodputRPS)
-	}
-	if sv.GoodputSMPerSec <= 0 {
-		return fmt.Errorf("serve: goodput_sm_per_sec = %v, want > 0", sv.GoodputSMPerSec)
-	}
-	return nil
-}
-
-// checkSched validates the scheduler head-to-head experiment: both
-// solver rows must be present with RTL-proven utilization evidence, the
-// portfolio must not be worse than the single-pass list schedule it
-// races (a "portfolio" that loses to its own warm start is a bug, not a
-// result), the makespans must respect the machine-load lower bound, and
-// the determinism cross-check must have passed — a schedule whose hash
-// cannot be reproduced from its seed is not a committable baseline.
-func checkSched(raw json.RawMessage) error {
-	var sc schedExp
-	if err := json.Unmarshal(raw, &sc); err != nil {
-		return fmt.Errorf("sched: parse: %w", err)
-	}
-	if sc.TraceOps <= 0 {
-		return fmt.Errorf("sched: trace_ops = %d, want > 0", sc.TraceOps)
-	}
-	if sc.Single == nil || sc.Portfolio == nil {
-		return fmt.Errorf("sched: both single and portfolio rows are required (the experiment is the head-to-head)")
-	}
-	rows := []struct {
-		name string
-		row  *schedSolverRow
-	}{{"single", sc.Single}, {"portfolio", sc.Portfolio}}
-	for _, r := range rows {
-		if r.row.Makespan <= 0 {
-			return fmt.Errorf("sched: %s.makespan = %d, want > 0", r.name, r.row.Makespan)
-		}
-		if r.row.MulUtilization == nil {
-			return fmt.Errorf("sched: %s.mul_utilization missing (utilization is the evidence)", r.name)
-		}
-		if u := *r.row.MulUtilization; u <= 0 || u > 1 {
-			return fmt.Errorf("sched: %s.mul_utilization = %v, want in (0, 1]", r.name, u)
-		}
-		if r.row.AddUtilization == nil {
-			return fmt.Errorf("sched: %s.add_utilization missing", r.name)
-		}
-		if u := *r.row.AddUtilization; u <= 0 || u > 1 {
-			return fmt.Errorf("sched: %s.add_utilization = %v, want in (0, 1]", r.name, u)
-		}
-		if r.row.StallCycles == nil {
-			return fmt.Errorf("sched: %s.stall_cycles missing", r.name)
-		}
-		if *r.row.StallCycles < 0 {
-			return fmt.Errorf("sched: %s.stall_cycles = %d, want >= 0", r.name, *r.row.StallCycles)
-		}
-	}
-	if sc.Portfolio.Makespan > sc.Single.Makespan {
-		return fmt.Errorf("sched: portfolio makespan %d exceeds single-solver makespan %d (the portfolio must never lose to its own warm start)",
-			sc.Portfolio.Makespan, sc.Single.Makespan)
-	}
-	if sc.LowerBound <= 0 || sc.LowerBound > sc.Portfolio.Makespan {
-		return fmt.Errorf("sched: lower_bound = %d, want in (0, %d] (a schedule below the machine-load bound is impossible)",
-			sc.LowerBound, sc.Portfolio.Makespan)
-	}
-	if sc.ScheduleHash == "" {
-		return fmt.Errorf("sched: schedule_hash missing (the reproducibility handle is part of the result)")
-	}
-	if !sc.Deterministic {
-		return fmt.Errorf("sched: deterministic = false — the rerun did not reproduce the schedule")
-	}
-	return nil
-}
-
-// schedSolverRow mirrors one solver row of the sched experiment for
-// checkSched's pointer-based presence checks.
-type schedSolverRow struct {
-	Makespan       int      `json:"makespan"`
-	MulUtilization *float64 `json:"mul_utilization"`
-	AddUtilization *float64 `json:"add_utilization"`
-	StallCycles    *int     `json:"stall_cycles"`
-}
-
-// fixedBaseExp mirrors the -exp fixedbase report entry (the fixed-base
-// comb program next to the variable-base schedule signing would
-// otherwise ride).
-type fixedBaseExp struct {
-	TraceOps             int             `json:"trace_ops"`
-	ROMWindows           int             `json:"rom_windows"`
-	ROMReads             int             `json:"rom_reads"`
-	LowerBound           int             `json:"lower_bound"`
-	Single               *schedSolverRow `json:"single"`
-	Portfolio            *schedSolverRow `json:"portfolio"`
-	VariableBaseMakespan int             `json:"variable_base_makespan"`
-	Ratio                *float64        `json:"ratio"`
-	Seed                 *int64          `json:"seed"`
-	ScheduleHash         string          `json:"schedule_hash"`
-	Deterministic        bool            `json:"deterministic"`
-	Validated            int             `json:"validated"`
-}
-
-// checkFixedBase validates the fixed-base comb experiment: the comb's
-// ROM evidence must be present (a comb with no ROM reads rode the wrong
-// program), both solver rows need RTL-proven utilization, the comb
-// makespan must actually beat the variable-base schedule it displaces
-// (otherwise the request-class routing is pure overhead), the
-// differential validation must have run, and — like sched — the
-// schedule must carry its seed + hash provenance with the determinism
-// cross-check passed.
-func checkFixedBase(raw json.RawMessage) error {
-	var fb fixedBaseExp
-	if err := json.Unmarshal(raw, &fb); err != nil {
-		return fmt.Errorf("fixedbase: parse: %w", err)
-	}
-	if fb.TraceOps <= 0 {
-		return fmt.Errorf("fixedbase: trace_ops = %d, want > 0", fb.TraceOps)
-	}
-	if fb.ROMWindows <= 0 {
-		return fmt.Errorf("fixedbase: rom_windows = %d, want > 0 (the precomputed table is the experiment)", fb.ROMWindows)
-	}
-	if fb.ROMReads <= 0 {
-		return fmt.Errorf("fixedbase: rom_reads = %d, want > 0 (a comb with no ROM reads rode the wrong program)", fb.ROMReads)
-	}
-	if fb.Single == nil || fb.Portfolio == nil {
-		return fmt.Errorf("fixedbase: both single and portfolio rows are required")
-	}
-	rows := []struct {
-		name string
-		row  *schedSolverRow
-	}{{"single", fb.Single}, {"portfolio", fb.Portfolio}}
-	for _, r := range rows {
-		if r.row.Makespan <= 0 {
-			return fmt.Errorf("fixedbase: %s.makespan = %d, want > 0", r.name, r.row.Makespan)
-		}
-		if r.row.MulUtilization == nil {
-			return fmt.Errorf("fixedbase: %s.mul_utilization missing (utilization is the evidence)", r.name)
-		}
-		if u := *r.row.MulUtilization; u <= 0 || u > 1 {
-			return fmt.Errorf("fixedbase: %s.mul_utilization = %v, want in (0, 1]", r.name, u)
-		}
-		if r.row.AddUtilization == nil {
-			return fmt.Errorf("fixedbase: %s.add_utilization missing", r.name)
-		}
-		if u := *r.row.AddUtilization; u <= 0 || u > 1 {
-			return fmt.Errorf("fixedbase: %s.add_utilization = %v, want in (0, 1]", r.name, u)
-		}
-		if r.row.StallCycles == nil {
-			return fmt.Errorf("fixedbase: %s.stall_cycles missing", r.name)
-		}
-		if *r.row.StallCycles < 0 {
-			return fmt.Errorf("fixedbase: %s.stall_cycles = %d, want >= 0", r.name, *r.row.StallCycles)
-		}
-	}
-	if fb.Portfolio.Makespan > fb.Single.Makespan {
-		return fmt.Errorf("fixedbase: portfolio makespan %d exceeds single-solver makespan %d",
-			fb.Portfolio.Makespan, fb.Single.Makespan)
-	}
-	if fb.LowerBound <= 0 || fb.LowerBound > fb.Portfolio.Makespan {
-		return fmt.Errorf("fixedbase: lower_bound = %d, want in (0, %d]", fb.LowerBound, fb.Portfolio.Makespan)
-	}
-	if fb.VariableBaseMakespan <= 0 {
-		return fmt.Errorf("fixedbase: variable_base_makespan = %d, want > 0 (the comparison is the point)", fb.VariableBaseMakespan)
-	}
-	if fb.Portfolio.Makespan >= fb.VariableBaseMakespan {
-		return fmt.Errorf("fixedbase: comb makespan %d does not beat the variable-base schedule %d — the request-class routing is pure overhead",
-			fb.Portfolio.Makespan, fb.VariableBaseMakespan)
-	}
-	if fb.Ratio == nil {
-		return fmt.Errorf("fixedbase: ratio missing")
-	}
-	want := float64(fb.Portfolio.Makespan) / float64(fb.VariableBaseMakespan)
-	if d := *fb.Ratio - want; d > 1e-9 || d < -1e-9 {
-		return fmt.Errorf("fixedbase: ratio = %v, but makespans give %v", *fb.Ratio, want)
-	}
-	if fb.Seed == nil {
-		return fmt.Errorf("fixedbase: seed missing (scheduling provenance is part of the result)")
-	}
-	if fb.ScheduleHash == "" {
-		return fmt.Errorf("fixedbase: schedule_hash missing (the reproducibility handle is part of the result)")
-	}
-	if !fb.Deterministic {
-		return fmt.Errorf("fixedbase: deterministic = false — the rerun did not reproduce the schedule")
-	}
-	if fb.Validated <= 0 {
-		return fmt.Errorf("fixedbase: validated = %d, want > 0 (no differential evidence against the library table)", fb.Validated)
-	}
-	return nil
-}
-
-// smRates extracts the comparable throughput metrics from a report,
-// keyed by a human-readable metric name: the throughput experiment's
-// peak SM/s over the worker sweep, and the latency experiment's
-// single-thread compiled-plan SM/s. Reports predating a metric simply
-// do not contribute it.
-func smRates(data []byte) (map[string]float64, error) {
-	var r report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	rates := make(map[string]float64)
-	if raw, ok := r.Experiments["throughput"]; ok {
-		var tp throughputExp
-		if err := json.Unmarshal(raw, &tp); err != nil {
-			return nil, fmt.Errorf("throughput: parse: %w", err)
-		}
-		peak := 0.0
-		for _, p := range tp.Points {
-			if p.SMPerSec > peak {
-				peak = p.SMPerSec
+		for i, r := range reports {
+			if err := benchreport.CompareExact(os.Stdout, base[0], r); err != nil {
+				return fmt.Errorf("%s: %w", paths[i], err)
 			}
 		}
-		if peak > 0 {
-			rates["throughput peak sm_per_sec"] = peak
+	}
+	if parent != "" {
+		ppaths, err := filepath.Glob(parent)
+		if err != nil {
+			return err
 		}
-	}
-	if raw, ok := r.Experiments["latency"]; ok {
-		var la struct {
-			SingleThread *struct {
-				Compiled float64 `json:"compiled_sm_per_sec"`
-			} `json:"single_thread"`
+		parents, err := load(ppaths)
+		if err != nil {
+			return err
 		}
-		if err := json.Unmarshal(raw, &la); err != nil {
-			return nil, fmt.Errorf("latency: parse: %w", err)
-		}
-		if la.SingleThread != nil && la.SingleThread.Compiled > 0 {
-			rates["latency single-thread compiled sm_per_sec"] = la.SingleThread.Compiled
-		}
-	}
-	if raw, ok := r.Experiments["batch"]; ok {
-		var ba batchExp
-		if err := json.Unmarshal(raw, &ba); err != nil {
-			return nil, fmt.Errorf("batch: parse: %w", err)
-		}
-		if ba.PeakLaneSMPerSec > 0 {
-			rates["batch peak lane sm_per_sec"] = ba.PeakLaneSMPerSec
-		}
-	}
-	if raw, ok := r.Experiments["serve"]; ok {
-		var sv serveExp
-		if err := json.Unmarshal(raw, &sv); err != nil {
-			return nil, fmt.Errorf("serve: parse: %w", err)
-		}
-		if sv.GoodputSMPerSec > 0 {
-			rates["serve goodput sm_per_sec"] = sv.GoodputSMPerSec
-		}
-	}
-	return rates, nil
-}
-
-// schedMakespan pulls the portfolio makespan out of a report's sched
-// experiment, when present. Unlike the SM/s rates this metric is
-// lower-is-better, so compare handles it separately.
-func schedMakespan(data []byte) (int, bool, error) {
-	var r report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return 0, false, fmt.Errorf("parse: %w", err)
-	}
-	raw, ok := r.Experiments["sched"]
-	if !ok {
-		return 0, false, nil
-	}
-	var sc schedExp
-	if err := json.Unmarshal(raw, &sc); err != nil {
-		return 0, false, fmt.Errorf("sched: parse: %w", err)
-	}
-	if sc.Portfolio == nil || sc.Portfolio.Makespan <= 0 {
-		return 0, false, nil
-	}
-	return sc.Portfolio.Makespan, true, nil
-}
-
-// fixedBaseMakespan pulls the comb's portfolio makespan out of a
-// report's fixedbase experiment, when present (lower-is-better, like
-// the sched makespan).
-func fixedBaseMakespan(data []byte) (int, bool, error) {
-	var r report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return 0, false, fmt.Errorf("parse: %w", err)
-	}
-	raw, ok := r.Experiments["fixedbase"]
-	if !ok {
-		return 0, false, nil
-	}
-	var fb fixedBaseExp
-	if err := json.Unmarshal(raw, &fb); err != nil {
-		return 0, false, fmt.Errorf("fixedbase: parse: %w", err)
-	}
-	if fb.Portfolio == nil || fb.Portfolio.Makespan <= 0 {
-		return 0, false, nil
-	}
-	return fb.Portfolio.Makespan, true, nil
-}
-
-// compare is the perf-regression gate: every SM/s metric present in
-// both the baseline and the current report must be at least
-// baseline*(1-tol), and the sched and fixedbase experiments' portfolio
-// makespans (lower-is-better cycle counts) must not exceed
-// baseline*(1+tol). Two reports with no metric in common are an error —
-// a gate that compares nothing must not pass silently.
-func compare(base, cur []byte, tol float64) error {
-	baseRates, err := smRates(base)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	curRates, err := smRates(cur)
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(baseRates))
-	for name := range baseRates {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	compared := 0
-	for _, name := range names {
-		c, ok := curRates[name]
-		if !ok {
-			continue
-		}
-		b := baseRates[name]
-		compared++
-		if floor := b * (1 - tol); c < floor {
-			return fmt.Errorf("regression: %s = %.1f, below %.1f (baseline %.1f - %.0f%% tolerance)",
-				name, c, floor, b, 100*tol)
-		}
-		fmt.Printf("benchcheck: %s %.1f vs baseline %.1f (%+.1f%%)\n", name, c, b, 100*(c/b-1))
-	}
-	baseMk, baseHas, err := schedMakespan(base)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	curMk, curHas, err := schedMakespan(cur)
-	if err != nil {
-		return err
-	}
-	if baseHas && curHas {
-		compared++
-		if ceil := float64(baseMk) * (1 + tol); float64(curMk) > ceil {
-			return fmt.Errorf("regression: sched portfolio makespan = %d cycles, above %.0f (baseline %d + %.0f%% tolerance)",
-				curMk, ceil, baseMk, 100*tol)
-		}
-		fmt.Printf("benchcheck: sched portfolio makespan %d vs baseline %d cycles (%+.1f%%)\n",
-			curMk, baseMk, 100*(float64(curMk)/float64(baseMk)-1))
-	}
-	baseFB, baseFBHas, err := fixedBaseMakespan(base)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	curFB, curFBHas, err := fixedBaseMakespan(cur)
-	if err != nil {
-		return err
-	}
-	if baseFBHas && curFBHas {
-		compared++
-		if ceil := float64(baseFB) * (1 + tol); float64(curFB) > ceil {
-			return fmt.Errorf("regression: fixedbase comb makespan = %d cycles, above %.0f (baseline %d + %.0f%% tolerance)",
-				curFB, ceil, baseFB, 100*tol)
-		}
-		fmt.Printf("benchcheck: fixedbase comb makespan %d vs baseline %d cycles (%+.1f%%)\n",
-			curFB, baseFB, 100*(float64(curFB)/float64(baseFB)-1))
-	}
-	if compared == 0 {
-		return fmt.Errorf("no SM/s metric shared by the report and the baseline (need throughput points or latency single_thread)")
+		return benchreport.ComparePaired(os.Stdout, parents, reports, tol)
 	}
 	return nil
 }
 
-type faultsExp struct {
-	Campaign *struct {
-		Seed       *int64   `json:"seed"`
-		Trials     int      `json:"trials"`
-		Sites      []string `json:"sites"`
-		Validation string   `json:"validation"`
-	} `json:"campaign"`
-	Detected          int      `json:"detected"`
-	Silent            int      `json:"silent"`
-	Masked            int      `json:"masked"`
-	DetectionCoverage *float64 `json:"detection_coverage"`
-	BySite            map[string]struct {
-		Trials   int `json:"trials"`
-		Detected int `json:"detected"`
-		Silent   int `json:"silent"`
-		Masked   int `json:"masked"`
-	} `json:"by_site"`
+// load reads, decodes and checks each report.
+func load(paths []string) ([]*benchreport.Report, error) {
+	var reports []*benchreport.Report
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		r, err := check(data)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		reports = append(reports, r)
+	}
+	return reports, nil
 }
 
-// checkFaults validates the fault-injection campaign: the report must
-// carry the full replay recipe (seed, trials, sites, validation level)
-// before any corruption rate is believed, and every tally must
-// reconcile with the advertised trial count.
-func checkFaults(raw json.RawMessage) error {
-	var fa faultsExp
-	if err := json.Unmarshal(raw, &fa); err != nil {
-		return fmt.Errorf("faults: parse: %w", err)
+// check decodes one report and runs its Check.
+func check(data []byte) (*benchreport.Report, error) {
+	r, err := benchreport.Decode(data)
+	if err != nil {
+		return nil, err
 	}
-	// The ordering matters: a silent-corruption rate without the
-	// campaign metadata is unreproducible and rejected before anything
-	// else is even looked at.
-	switch {
-	case fa.Campaign == nil:
-		return fmt.Errorf("faults: outcome tallies without campaign metadata (unreproducible; record seed/trials/sites/validation)")
-	case fa.Campaign.Seed == nil:
-		return fmt.Errorf("faults: campaign metadata missing the seed")
-	case fa.Campaign.Trials <= 0:
-		return fmt.Errorf("faults: campaign.trials = %d, want > 0", fa.Campaign.Trials)
-	case len(fa.Campaign.Sites) == 0:
-		return fmt.Errorf("faults: campaign.sites empty")
-	case fa.Campaign.Validation == "":
-		return fmt.Errorf("faults: campaign.validation missing (which detector was classified against?)")
-	}
-	if got := fa.Detected + fa.Silent + fa.Masked; got != fa.Campaign.Trials {
-		return fmt.Errorf("faults: detected+silent+masked = %d, want trials = %d", got, fa.Campaign.Trials)
-	}
-	if fa.DetectionCoverage == nil {
-		return fmt.Errorf("faults: detection_coverage missing")
-	}
-	if c := *fa.DetectionCoverage; c < 0 || c > 1 {
-		return fmt.Errorf("faults: detection_coverage = %v, want in [0, 1]", c)
-	}
-	var siteTrials, siteDetected, siteSilent, siteMasked int
-	for site, tally := range fa.BySite {
-		if tally.Detected+tally.Silent+tally.Masked != tally.Trials {
-			return fmt.Errorf("faults: site %q tally does not reconcile", site)
-		}
-		siteTrials += tally.Trials
-		siteDetected += tally.Detected
-		siteSilent += tally.Silent
-		siteMasked += tally.Masked
-	}
-	if siteTrials != fa.Campaign.Trials || siteDetected != fa.Detected ||
-		siteSilent != fa.Silent || siteMasked != fa.Masked {
-		return fmt.Errorf("faults: by_site totals (%d/%d/%d/%d) disagree with the campaign totals (%d/%d/%d/%d)",
-			siteTrials, siteDetected, siteSilent, siteMasked,
-			fa.Campaign.Trials, fa.Detected, fa.Silent, fa.Masked)
-	}
-	return nil
-}
-
-type chaosExp struct {
-	Seed      *int64 `json:"seed"`
-	Requests  int    `json:"requests_per_phase"`
-	Scenarios []struct {
-		Name           string         `json:"name"`
-		Seed           *int64         `json:"seed"`
-		FaultsInjected int64          `json:"faults_injected"`
-		Requests       map[string]int `json:"requests"`
-		MisAnswered    int            `json:"mis_answered"`
-		Lost           int            `json:"lost"`
-		Duplicates     int64          `json:"duplicates"`
-		EngineRejected int64          `json:"engine_rejected"`
-		RecoveryRatio  *float64       `json:"recovery_ratio"`
-		Violations     []string       `json:"violations"`
-	} `json:"scenarios"`
-	FaultsInjected   int64    `json:"faults_injected"`
-	MisAnswered      int      `json:"mis_answered"`
-	Lost             int      `json:"lost"`
-	Duplicates       int64    `json:"duplicates"`
-	EngineRejected   int64    `json:"engine_rejected"`
-	MinRecoveryRatio *float64 `json:"min_recovery_ratio"`
-	Violations       []string `json:"violations"`
-}
-
-// minRecoveryRatio is the lowest post-fault/pre-fault goodput a chaos
-// scenario may record and still pass — the same floor internal/chaos
-// enforces at run time.
-const minRecoveryRatio = 0.9
-
-// checkChaos validates the failure-campaign report (fourq-chaos -json):
-// a campaign that injected no faults tested nothing and is rejected
-// outright, every scenario must carry its replay seed and reconciled
-// request tallies, and the recorded invariants must actually hold —
-// zero lost/duplicated/mis-answered requests, zero engine-level
-// rejections, recovery ratios at or above the floor, and an empty
-// violation list. A "passing" chaos report whose own numbers breach an
-// invariant is a recording bug, not evidence of robustness.
-func checkChaos(raw json.RawMessage) error {
-	var ch chaosExp
-	if err := json.Unmarshal(raw, &ch); err != nil {
-		return fmt.Errorf("chaos: parse: %w", err)
-	}
-	if ch.Seed == nil {
-		return fmt.Errorf("chaos: campaign seed missing (unreproducible)")
-	}
-	if ch.Requests <= 0 {
-		return fmt.Errorf("chaos: requests_per_phase = %d, want > 0", ch.Requests)
-	}
-	if len(ch.Scenarios) == 0 {
-		return fmt.Errorf("chaos: no scenarios recorded")
-	}
-	if ch.FaultsInjected == 0 {
-		return fmt.Errorf("chaos: campaign injected zero faults — nothing was tested")
-	}
-	if len(ch.Violations) > 0 {
-		return fmt.Errorf("chaos: report records %d invariant violation(s): %s",
-			len(ch.Violations), strings.Join(ch.Violations, "; "))
-	}
-	var faults int64
-	ratios := 0
-	for _, sc := range ch.Scenarios {
-		if sc.Name == "" {
-			return fmt.Errorf("chaos: scenario with no name")
-		}
-		if sc.Seed == nil {
-			return fmt.Errorf("chaos: scenario %s missing its replay seed", sc.Name)
-		}
-		if sc.FaultsInjected == 0 {
-			return fmt.Errorf("chaos: scenario %s injected zero faults", sc.Name)
-		}
-		total := sc.Requests["total"]
-		if total <= 0 {
-			return fmt.Errorf("chaos: scenario %s issued no requests", sc.Name)
-		}
-		if sc.Requests["ok"] <= 0 {
-			return fmt.Errorf("chaos: scenario %s answered no request successfully", sc.Name)
-		}
-		sum := sc.Requests["ok"] + sc.Requests["shed"] + sc.Requests["rate_limited"] +
-			sc.Requests["canceled"] + sc.Requests["drained"] + sc.Requests["failed"]
-		if sum != total {
-			return fmt.Errorf("chaos: scenario %s tallies sum to %d, want total = %d", sc.Name, sum, total)
-		}
-		if sc.Lost != 0 || sc.Duplicates != 0 {
-			return fmt.Errorf("chaos: scenario %s lost=%d duplicates=%d, want 0/0 (exactly-once broken)",
-				sc.Name, sc.Lost, sc.Duplicates)
-		}
-		if sc.MisAnswered != 0 {
-			return fmt.Errorf("chaos: scenario %s mis_answered = %d, want 0", sc.Name, sc.MisAnswered)
-		}
-		if sc.EngineRejected != 0 {
-			return fmt.Errorf("chaos: scenario %s engine_rejected = %d, want 0 (shed must precede backpressure)",
-				sc.Name, sc.EngineRejected)
-		}
-		if len(sc.Violations) > 0 {
-			return fmt.Errorf("chaos: scenario %s records violations: %s", sc.Name, strings.Join(sc.Violations, "; "))
-		}
-		if sc.RecoveryRatio != nil {
-			ratios++
-			if *sc.RecoveryRatio < minRecoveryRatio {
-				return fmt.Errorf("chaos: scenario %s recovery_ratio = %.2f, below the %.2f floor",
-					sc.Name, *sc.RecoveryRatio, minRecoveryRatio)
-			}
-		}
-		faults += sc.FaultsInjected
-	}
-	if faults != ch.FaultsInjected {
-		return fmt.Errorf("chaos: per-scenario faults sum to %d, campaign total says %d", faults, ch.FaultsInjected)
-	}
-	if ratios == 0 {
-		return fmt.Errorf("chaos: no scenario measured a recovery ratio")
-	}
-	if ch.MinRecoveryRatio == nil {
-		return fmt.Errorf("chaos: min_recovery_ratio missing")
-	}
-	if *ch.MinRecoveryRatio < minRecoveryRatio {
-		return fmt.Errorf("chaos: min_recovery_ratio = %.2f, below the %.2f floor", *ch.MinRecoveryRatio, minRecoveryRatio)
-	}
-	return nil
+	return r, r.Check()
 }

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/benchreport"
 )
 
 const goodReport = `{
@@ -10,19 +16,36 @@ const goodReport = `{
   "experiments": {
     "latency": {
       "cycles_functional": 3940,
-      "rtl_stats": {
-        "cycles": 3940,
-        "mul_utilization": 0.657,
-        "add_utilization": 0.526,
-        "forwarded_reads": 3393,
-        "elided_writes": 0
-      }
+      "cycles_endo_modeled": 1981,
+      "fmax_mhz_1v20": 196.1,
+      "latency_us_1v20": 10.1,
+      "latency_us_0v32": 857,
+      "rtl_stats": ` + goodRTLStats + `,
+      "single_thread": {"compiled_sm_per_sec": 2200, "interpreted_sm_per_sec": 400, "speedup": 5.5}
     }
   }
 }`
 
+// goodRTLStats is a complete rtl_stats block of the default program.
+const goodRTLStats = `{
+        "cycles": 3940,
+        "mul_issues": 2589,
+        "add_issues": 2074,
+        "reg_reads": 4312,
+        "reg_writes": 4663,
+        "rom_reads": 0,
+        "mul_utilization": 0.657,
+        "add_utilization": 0.526,
+        "stall_cycles": 291,
+        "read_port_pressure": [1349, 1110, 734, 522, 42],
+        "write_port_pressure": [299, 2253, 1205],
+        "issues_by_opcode": {"add": 1009, "mul": 2589, "sub": 998},
+        "forwarded_reads": 3393,
+        "elided_writes": 0
+      }`
+
 func TestCheckGood(t *testing.T) {
-	if err := check([]byte(goodReport)); err != nil {
+	if _, err := check([]byte(goodReport)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -34,9 +57,13 @@ const goodThroughput = `{
       "num_cpu": 4,
       "sms_per_point": 24,
       "points": [
-        {"workers": 1, "sms": 24, "sm_per_sec": 410.2, "speedup": 1, "oracle_ok": true},
-        {"workers": 4, "sms": 24, "sm_per_sec": 433.8, "speedup": 1.06, "oracle_ok": true}
+        {"workers": 1, "sms": 24, "seconds": 0.0585, "sm_per_sec": 410.2, "speedup": 1, "oracle_ok": true},
+        {"workers": 4, "sms": 24, "seconds": 0.0553, "sm_per_sec": 433.8, "speedup": 1.06, "oracle_ok": true}
       ],
+      "max_speedup": 1.06,
+      "build_shared": true,
+      "queue_depth": 48,
+      "engine_cache_size": 1,
       "verified_all": true,
       "schedule_cycles": 3756,
       "solver": "portfolio"
@@ -45,7 +72,7 @@ const goodThroughput = `{
 }`
 
 func TestCheckThroughputGood(t *testing.T) {
-	if err := check([]byte(goodThroughput)); err != nil {
+	if _, err := check([]byte(goodThroughput)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -68,7 +95,7 @@ const goodBatch = `{
 }`
 
 func TestCheckBatchGood(t *testing.T) {
-	if err := check([]byte(goodBatch)); err != nil {
+	if _, err := check([]byte(goodBatch)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,14 +106,14 @@ func TestCheckBatchNonMonotoneNote(t *testing.T) {
 	dip := strings.Replace(strings.Replace(goodBatch,
 		`"sm_per_sec": 7000.0, "speedup": 2.41`, `"sm_per_sec": 4500.0, "speedup": 1.55`, 1),
 		`"peak_lane_sm_per_sec": 7000.0`, `"peak_lane_sm_per_sec": 4800.0`, 1)
-	if err := check([]byte(dip)); err == nil {
+	if _, err := check([]byte(dip)); err == nil {
 		t.Fatal("non-monotone sweep without a note accepted")
 	} else if !strings.Contains(err.Error(), "no note") {
 		t.Fatalf("error %q does not mention the missing note", err)
 	}
 	noted := strings.Replace(dip, `"verified_all": true`,
 		`"note": "host scheduling noise at width 4", "verified_all": true`, 1)
-	if err := check([]byte(noted)); err != nil {
+	if _, err := check([]byte(noted)); err != nil {
 		t.Fatalf("noted non-monotone sweep rejected: %v", err)
 	}
 }
@@ -110,7 +137,7 @@ const goodFaults = `{
 }`
 
 func TestCheckFaultsGood(t *testing.T) {
-	if err := check([]byte(goodFaults)); err != nil {
+	if _, err := check([]byte(goodFaults)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +161,7 @@ const goodServe = `{
 }`
 
 func TestCheckServeGood(t *testing.T) {
-	if err := check([]byte(goodServe)); err != nil {
+	if _, err := check([]byte(goodServe)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -149,7 +176,7 @@ func TestCheckServeRejects(t *testing.T) {
 		{"missing percentile", strings.Replace(goodServe,
 			`"p95": 6.2, `, ``, 1), "latency_ms.p95"},
 		{"missing latency block", strings.Replace(goodServe,
-			`"latency_ms": {"p50": 2.6, "p95": 6.2, "p99": 8.8},`, ``, 1), "latency_ms.p50"},
+			`"latency_ms": {"p50": 2.6, "p95": 6.2, "p99": 8.8},`, ``, 1), "latency_ms missing"},
 		{"missing shed rate", strings.Replace(goodServe,
 			`"shed_rate": 0.0933,`, ``, 1), "shed_rate"},
 		{"shed rate out of range", strings.Replace(goodServe,
@@ -168,7 +195,7 @@ func TestCheckServeRejects(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := check([]byte(c.doc))
+			_, err := check([]byte(c.doc))
 			if err == nil {
 				t.Fatalf("check accepted %s", c.name)
 			}
@@ -179,37 +206,83 @@ func TestCheckServeRejects(t *testing.T) {
 	}
 }
 
-// TestCompareServeMetric: service goodput participates in compare mode.
+// report decodes and checks doc.
+func report(t *testing.T, doc string) *benchreport.Report {
+	t.Helper()
+	r, err := check([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// withRate returns doc with the single-thread compiled rate set to v.
+func withRate(doc string, v float64) string {
+	return strings.Replace(doc, `"compiled_sm_per_sec": 2200`, fmt.Sprintf(`"compiled_sm_per_sec": %v`, v), 1)
+}
+
+// pairs returns one parent report per ratio, each baselineReport, and
+// one head report per ratio with the compiled rate scaled by it.
+func pairs(t *testing.T, ratios ...float64) (parents, heads []*benchreport.Report) {
+	for _, r := range ratios {
+		parents = append(parents, report(t, baselineReport))
+		heads = append(heads, report(t, withRate(baselineReport, 2200*r)))
+	}
+	return parents, heads
+}
+
+// TestComparePairedThreshold: a host row fails when the median of its
+// per-pair head/parent ratios falls below 1 - tolerance, whatever the
+// single pairs do. The two sweeps differ by 0.01 in every pair, moving
+// the median from 0.905 to 0.895 across the 0.90 line.
+func TestComparePairedThreshold(t *testing.T) {
+	above := []float64{0.95, 0.85, 0.92, 0.88, 0.91, 0.90, 0.93, 0.87, 0.89, 0.94}
+	below := make([]float64, len(above))
+	for i, r := range above {
+		below[i] = r - 0.01
+	}
+	p, h := pairs(t, above...)
+	if err := benchreport.ComparePaired(io.Discard, p, h, 0.10); err != nil {
+		t.Fatalf("median 0.905 failed a 10%% tolerance: %v", err)
+	}
+	p, h = pairs(t, below...)
+	err := benchreport.ComparePaired(io.Discard, p, h, 0.10)
+	if err == nil || !strings.Contains(err.Error(), "latency.single_thread.compiled_sm_per_sec") {
+		t.Fatalf("median 0.895 not caught by a 10%% tolerance: %v", err)
+	}
+}
+
+// TestCompareServeMetric: service goodput is a host row; the
+// serve smoke compares a steady run with the recorded one as a single
+// pair.
 func TestCompareServeMetric(t *testing.T) {
-	if err := compare([]byte(goodServe), []byte(goodServe), 0.10); err != nil {
+	base := report(t, goodServe)
+	if err := benchreport.ComparePaired(io.Discard, []*benchreport.Report{base}, []*benchreport.Report{base}, 0.10); err != nil {
 		t.Fatalf("identical serve reports must compare cleanly: %v", err)
 	}
-	slow := strings.Replace(goodServe,
-		`"goodput_sm_per_sec": 560.5`, `"goodput_sm_per_sec": 400`, 1)
-	err := compare([]byte(goodServe), []byte(slow), 0.10)
+	slow := report(t, strings.Replace(goodServe,
+		`"goodput_sm_per_sec": 560.5`, `"goodput_sm_per_sec": 400`, 1))
+	err := benchreport.ComparePaired(io.Discard, []*benchreport.Report{base}, []*benchreport.Report{slow}, 0.10)
 	if err == nil {
 		t.Fatal("28% serve goodput regression passed the gate")
 	}
-	if !strings.Contains(err.Error(), "serve goodput") {
+	if !strings.Contains(err.Error(), "serve.goodput_sm_per_sec") {
 		t.Fatalf("error %q does not name the serve metric", err)
 	}
 }
 
-// baselineReport carries both comparable SM/s metrics: the throughput
-// peak (433.8, at 4 workers) and the latency single-thread compiled
-// rate (2200).
+// baselineReport carries two host rows: the throughput peak (433.8, at
+// 4 workers) and the latency single-thread compiled rate (2200).
 const baselineReport = `{
   "schema": "fourq-bench/v1",
   "experiments": {
     "latency": {
       "cycles_functional": 3940,
-      "rtl_stats": {
-        "cycles": 3940,
-        "mul_utilization": 0.657,
-        "add_utilization": 0.526,
-        "forwarded_reads": 3393,
-        "elided_writes": 0
-      },
+      "cycles_endo_modeled": 1981,
+      "fmax_mhz_1v20": 196.1,
+      "latency_us_1v20": 10.1,
+      "latency_us_0v32": 857,
+      "rtl_stats": ` + goodRTLStats + `,
       "single_thread": {
         "compiled_sm_per_sec": 2200,
         "interpreted_sm_per_sec": 400,
@@ -220,9 +293,13 @@ const baselineReport = `{
       "num_cpu": 4,
       "sms_per_point": 24,
       "points": [
-        {"workers": 1, "sms": 24, "sm_per_sec": 410.2, "speedup": 1, "oracle_ok": true},
-        {"workers": 4, "sms": 24, "sm_per_sec": 433.8, "speedup": 1.06, "oracle_ok": true}
+        {"workers": 1, "sms": 24, "seconds": 0.0585, "sm_per_sec": 410.2, "speedup": 1, "oracle_ok": true},
+        {"workers": 4, "sms": 24, "seconds": 0.0553, "sm_per_sec": 433.8, "speedup": 1.06, "oracle_ok": true}
       ],
+      "max_speedup": 1.06,
+      "build_shared": true,
+      "queue_depth": 48,
+      "engine_cache_size": 1,
       "verified_all": true,
       "schedule_cycles": 3940,
       "solver": "list"
@@ -230,29 +307,29 @@ const baselineReport = `{
   }
 }`
 
+// TestCompare runs one pair per case: the host rows a report shares
+// with its parent gate it, in either direction of the tolerance.
 func TestCompare(t *testing.T) {
-	base := []byte(baselineReport)
 	cases := []struct {
 		name    string
+		parent  string
 		cur     string
 		tol     float64
 		wantErr string // empty = must pass
 	}{
-		{"identical", baselineReport, 0.10, ""},
-		{"small dip within tolerance", strings.Replace(baselineReport,
-			`"compiled_sm_per_sec": 2200`, `"compiled_sm_per_sec": 2050`, 1), 0.10, ""},
-		{"single-thread regression", strings.Replace(baselineReport,
-			`"compiled_sm_per_sec": 2200`, `"compiled_sm_per_sec": 1500`, 1), 0.10, "single-thread"},
-		{"throughput regression", strings.Replace(strings.Replace(baselineReport,
+		{"identical", baselineReport, baselineReport, 0.10, ""},
+		{"small dip within tolerance", baselineReport, withRate(baselineReport, 2050), 0.10, ""},
+		{"single-thread regression", baselineReport, withRate(baselineReport, 1500), 0.10, "single_thread"},
+		{"throughput regression", baselineReport, strings.Replace(strings.Replace(baselineReport,
 			`"sm_per_sec": 433.8`, `"sm_per_sec": 310`, 1),
 			`"sm_per_sec": 410.2`, `"sm_per_sec": 300`, 1), 0.10, "throughput"},
-		{"tight tolerance trips", strings.Replace(baselineReport,
-			`"compiled_sm_per_sec": 2200`, `"compiled_sm_per_sec": 2100`, 1), 0.01, "regression"},
-		{"no shared metric", goodFaults, 0.10, "no SM/s metric"},
+		{"tight tolerance trips", baselineReport, withRate(baselineReport, 2100), 0.01, "regression"},
+		{"no shared metric", baselineReport, goodFaults, 0.10, "no host metric"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := compare(base, []byte(c.cur), c.tol)
+			err := benchreport.ComparePaired(io.Discard,
+				[]*benchreport.Report{report(t, c.parent)}, []*benchreport.Report{report(t, c.cur)}, c.tol)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("compare failed: %v", err)
@@ -269,12 +346,10 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-// TestCompareBatchMetric: the lockstep peak lane rate participates in
-// compare mode — a regression beyond tolerance fails the gate, and a
-// baseline predating the batch experiment simply does not contribute
-// the metric.
+// TestCompareBatchMetric: the lockstep peak lane rate is a host row.
 func TestCompareBatchMetric(t *testing.T) {
-	if err := compare([]byte(goodBatch), []byte(goodBatch), 0.10); err != nil {
+	base := []*benchreport.Report{report(t, goodBatch)}
+	if err := benchreport.ComparePaired(io.Discard, base, base, 0.10); err != nil {
 		t.Fatalf("identical batch reports must compare cleanly: %v", err)
 	}
 	slow := strings.Replace(strings.Replace(goodBatch,
@@ -282,26 +357,58 @@ func TestCompareBatchMetric(t *testing.T) {
 		`"peak_lane_sm_per_sec": 7000.0`, `"peak_lane_sm_per_sec": 4800.0`, 1)
 	slow = strings.Replace(slow, `"verified_all": true`,
 		`"note": "synthetic regression", "verified_all": true`, 1)
-	err := compare([]byte(goodBatch), []byte(slow), 0.10)
+	err := benchreport.ComparePaired(io.Discard, base, []*benchreport.Report{report(t, slow)}, 0.10)
 	if err == nil {
 		t.Fatal("31% lane-rate regression passed the gate")
 	}
-	if !strings.Contains(err.Error(), "batch peak lane") {
+	if !strings.Contains(err.Error(), "batch.peak_lane") {
 		t.Fatalf("error %q does not name the lane metric", err)
 	}
 }
 
-// TestCompareLegacyBaseline: a baseline written before the single_thread
-// block existed still gates on the metrics it does carry.
+// TestCompareLegacyBaseline: a parent report predating a row (no
+// single_thread block here) still gates on the rows it does carry.
 func TestCompareLegacyBaseline(t *testing.T) {
-	if err := compare([]byte(goodThroughput), []byte(baselineReport), 0.10); err != nil {
-		t.Fatalf("legacy baseline with only throughput should compare cleanly: %v", err)
+	legacy := []*benchreport.Report{report(t, goodThroughput)}
+	if err := benchreport.ComparePaired(io.Discard, legacy, []*benchreport.Report{report(t, baselineReport)}, 0.10); err != nil {
+		t.Fatalf("legacy parent with only throughput should compare cleanly: %v", err)
 	}
 	slow := strings.Replace(strings.Replace(baselineReport,
 		`"sm_per_sec": 433.8`, `"sm_per_sec": 110`, 1),
 		`"sm_per_sec": 410.2`, `"sm_per_sec": 100`, 1)
-	if err := compare([]byte(goodThroughput), []byte(slow), 0.10); err == nil {
-		t.Fatal("throughput regression vs legacy baseline not caught")
+	if err := benchreport.ComparePaired(io.Discard, legacy, []*benchreport.Report{report(t, slow)}, 0.10); err == nil {
+		t.Fatal("throughput regression vs legacy parent not caught")
+	}
+}
+
+// TestComparePairedCounts: pairs must match one to one.
+func TestComparePairedCounts(t *testing.T) {
+	p, h := pairs(t, 1, 1)
+	if err := benchreport.ComparePaired(io.Discard, p, h[:1], 0.10); err == nil {
+		t.Fatal("2 parents against 1 report accepted")
+	}
+	if err := benchreport.ComparePaired(io.Discard, nil, nil, 0.10); err == nil {
+		t.Fatal("zero pairs accepted")
+	}
+}
+
+// TestCommittedBaselines runs the shared Check over every committed
+// baseline, and the exact rows of BENCH_rtl.json against themselves.
+func TestCommittedBaselines(t *testing.T) {
+	for _, name := range []string{"BENCH_rtl.json", "BENCH_chaos.json", "BENCH_serve.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := check(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name == "BENCH_rtl.json" {
+			if err := benchreport.CompareExact(io.Discard, r, r); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
 	}
 }
 
@@ -317,8 +424,8 @@ func TestCheckRejects(t *testing.T) {
 			`"errors": {"throughput": "synthetic failure"}, "experiments"`, 1), "failed experiments"},
 		{"throughput no points", strings.Replace(goodThroughput,
 			`"points": [
-        {"workers": 1, "sms": 24, "sm_per_sec": 410.2, "speedup": 1, "oracle_ok": true},
-        {"workers": 4, "sms": 24, "sm_per_sec": 433.8, "speedup": 1.06, "oracle_ok": true}
+        {"workers": 1, "sms": 24, "seconds": 0.0585, "sm_per_sec": 410.2, "speedup": 1, "oracle_ok": true},
+        {"workers": 4, "sms": 24, "seconds": 0.0553, "sm_per_sec": 433.8, "speedup": 1.06, "oracle_ok": true}
       ]`, `"points": []`, 1), "no points"},
 		{"throughput zero rate", strings.Replace(goodThroughput, `"sm_per_sec": 433.8`, `"sm_per_sec": 0`, 1), "sm_per_sec"},
 		{"throughput bad workers", strings.Replace(goodThroughput, `"workers": 4`, `"workers": 0`, 1), "workers"},
@@ -341,7 +448,7 @@ func TestCheckRejects(t *testing.T) {
 		// replay recipe is unreproducible and must be rejected.
 		{"faults no campaign", strings.Replace(goodFaults,
 			`"campaign": {"seed": 999447, "trials": 8, "sites": ["regfile", "rom"], "validation": "oncurve"},`,
-			``, 1), "campaign metadata"},
+			``, 1), "campaign missing"},
 		{"faults no seed", strings.Replace(goodFaults, `"seed": 999447, `, ``, 1), "seed"},
 		{"faults zero trials", strings.Replace(goodFaults, `"trials": 8,`, `"trials": 0,`, 1), "trials"},
 		{"faults no sites", strings.Replace(goodFaults, `"sites": ["regfile", "rom"]`, `"sites": []`, 1), "sites"},
@@ -368,7 +475,7 @@ func TestCheckRejects(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := check([]byte(c.doc))
+			_, err := check([]byte(c.doc))
 			if err == nil {
 				t.Fatalf("check accepted %s", c.name)
 			}
@@ -401,7 +508,7 @@ const goodSched = `{
 }`
 
 func TestCheckSchedGood(t *testing.T) {
-	if err := check([]byte(goodSched)); err != nil {
+	if _, err := check([]byte(goodSched)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -418,7 +525,7 @@ func TestCheckSchedRejects(t *testing.T) {
 			`"makespan": 3756`, `"makespan": 4100`, 1), "warm start"},
 		{"missing single row", strings.Replace(goodSched,
 			`"single": {"solver": "list", "makespan": 3940, "mul_utilization": 0.657, "add_utilization": 0.526, "stall_cycles": 291, "solve_seconds": 0.01},`,
-			``, 1), "both single and portfolio"},
+			``, 1), "single missing"},
 		{"zero makespan", strings.Replace(goodSched,
 			`"makespan": 3756`, `"makespan": 0`, 1), "makespan"},
 		{"missing mul utilization", strings.Replace(goodSched,
@@ -442,7 +549,7 @@ func TestCheckSchedRejects(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := check([]byte(c.doc))
+			_, err := check([]byte(c.doc))
 			if err == nil {
 				t.Fatalf("check accepted %s", c.name)
 			}
@@ -453,25 +560,42 @@ func TestCheckSchedRejects(t *testing.T) {
 	}
 }
 
-// TestCompareSchedMetric: the portfolio makespan participates in compare
-// mode with the opposite sign to the SM/s rates — cycles going UP beyond
-// tolerance is the regression, and a shorter schedule always passes.
+// TestCompareSchedMetric: every exact row must match the baseline with
+// zero tolerance, so a one-cycle drift or a changed hash fails in
+// either direction (a deliberately shorter schedule re-records the
+// baseline).
 func TestCompareSchedMetric(t *testing.T) {
-	if err := compare([]byte(goodSched), []byte(goodSched), 0.10); err != nil {
-		t.Fatalf("identical sched reports must compare cleanly: %v", err)
+	base := report(t, goodSched)
+	cases := []struct {
+		name, cur, wantErr string // empty wantErr = must pass
+	}{
+		{"identical", goodSched, ""},
+		{"portfolio one cycle longer", strings.Replace(goodSched,
+			`"makespan": 3756`, `"makespan": 3757`, 1), "sched.portfolio.makespan"},
+		{"portfolio shorter", strings.Replace(goodSched,
+			`"makespan": 3756`, `"makespan": 3700`, 1), "sched.portfolio.makespan"},
+		{"changed hash", strings.Replace(goodSched,
+			`"schedule_hash": "039059a484ff3833"`, `"schedule_hash": "039059a484ff3834"`, 1), "sched.schedule_hash"},
+		{"lower bound moved", strings.Replace(goodSched,
+			`"lower_bound": 3010`, `"lower_bound": 3011`, 1), "sched.lower_bound"},
+		{"no shared metric", goodThroughput, "no exact metric"},
 	}
-	shorter := strings.Replace(goodSched, `"makespan": 3756`, `"makespan": 3700`, 1)
-	if err := compare([]byte(goodSched), []byte(shorter), 0.10); err != nil {
-		t.Fatalf("a shorter schedule must pass the gate: %v", err)
-	}
-	longer := strings.Replace(goodSched, `"makespan": 3756`, `"makespan": 4300`, 1)
-	longer = strings.Replace(longer, `"makespan": 3940`, `"makespan": 4400`, 1)
-	err := compare([]byte(goodSched), []byte(longer), 0.10)
-	if err == nil {
-		t.Fatal("14% makespan regression passed the gate")
-	}
-	if !strings.Contains(err.Error(), "portfolio makespan") {
-		t.Fatalf("error %q does not name the makespan metric", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := benchreport.CompareExact(io.Discard, base, report(t, c.cur))
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("compare failed: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("compare accepted %s", c.name)
+			}
+			if !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, c.wantErr)
+			}
+		})
 	}
 }
 
@@ -528,7 +652,7 @@ const goodChaos = `{
 }`
 
 func TestCheckChaosGood(t *testing.T) {
-	if err := check([]byte(goodChaos)); err != nil {
+	if _, err := check([]byte(goodChaos)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -551,7 +675,7 @@ func TestCheckChaosRejects(t *testing.T) {
 		{"missing campaign seed", strings.Replace(goodChaos,
 			`"seed": 1,`, ``, 1), "seed missing"},
 		{"missing scenario seed", strings.Replace(goodChaos,
-			`"seed": 77,`, ``, 1), "replay seed"},
+			`"seed": 77,`, ``, 1), "scenarios[1].seed missing"},
 		{"unreconciled tallies", strings.Replace(goodChaos,
 			`"shed": 177`, `"shed": 100`, 1), "tallies"},
 		{"lost requests", strings.Replace(goodChaos,
@@ -596,14 +720,14 @@ func TestCheckChaosRejects(t *testing.T) {
 		{"fault sum mismatch", strings.Replace(goodChaos,
 			`"faults_injected": 3907`, `"faults_injected": 9999`, 1), "campaign total"},
 		{"no scenarios", strings.Replace(goodChaos,
-			`"scenarios": [`, `"scenarios_off": [`, 1), "no scenarios"},
+			`"scenarios": [`, `"scenarios_off": [`, 1), "scenarios missing"},
 		{"no recovery ratio anywhere", strings.Replace(strings.Replace(goodChaos,
 			`"recovery_ratio": 1.06,`, ``, 1),
 			`"recovery_ratio": 1.11,`, ``, 1), "recovery ratio"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := check([]byte(c.doc))
+			_, err := check([]byte(c.doc))
 			if err == nil {
 				t.Fatalf("check accepted %s", c.name)
 			}

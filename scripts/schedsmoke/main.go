@@ -16,32 +16,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/benchreport"
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/rtl"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
-
-// baselineSched is the slice of BENCH_rtl.json the smoke gates on.
-type baselineSched struct {
-	Experiments struct {
-		Sched *struct {
-			Single struct {
-				Makespan int `json:"makespan"`
-			} `json:"single"`
-			Portfolio struct {
-				Makespan int `json:"makespan"`
-			} `json:"portfolio"`
-			ScheduleHash string `json:"schedule_hash"`
-		} `json:"sched"`
-	} `json:"experiments"`
-}
 
 func main() {
 	baseline := flag.String("baseline", "BENCH_rtl.json", "committed bench baseline carrying the sched experiment")
@@ -62,12 +47,12 @@ func run(baselinePath string, rounds, iters int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	var base baselineSched
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: parse: %w", baselinePath, err)
+	base, err := benchreport.Decode(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", baselinePath, err)
 	}
-	bs := base.Experiments.Sched
-	if bs == nil || bs.Single.Makespan <= 0 {
+	bs, ok := base.Experiments["sched"].(*benchreport.Sched)
+	if !ok {
 		return fmt.Errorf("%s carries no sched experiment (refresh it with `make bench-record`)", baselinePath)
 	}
 

@@ -15,11 +15,13 @@
 #   OVERLOAD_RPS    offered rate of the overload run (default 2500)
 #   SERVE_BASELINE  committed baseline report (default BENCH_serve.json)
 #   SERVE_TOLERANCE allowed fractional goodput regression (default 0.50:
-#                   service goodput on a shared CI host is far noisier
-#                   than the process-local RTL benchmarks, so the gate
-#                   is sized to catch collapses — a broken dispatch or
-#                   coalescing path loses far more than half — without
-#                   flaking on scheduler jitter)
+#                   the steady run's goodput is compared with the
+#                   recorded run's as a single pair, and service goodput
+#                   on a shared CI host is far noisier than the
+#                   process-local RTL benchmarks, so the gate is sized
+#                   to catch collapses — a broken dispatch or coalescing
+#                   path loses far more than half — without flaking on
+#                   scheduler jitter)
 #   SERVE_BENCH_OUT when set, copy the steady-run report here (this is
 #                   how `make serve-record` refreshes the baseline)
 set -eu
@@ -50,7 +52,7 @@ echo "serve-smoke: steady run ($STEADY_RPS rps)"
 "$GO" run ./scripts/benchcheck "$STEADY_JSON"
 if [ -f "$BASELINE" ]; then
     echo "serve-smoke: gating against $BASELINE (tolerance $TOLERANCE)"
-    "$GO" run ./scripts/benchcheck -baseline "$BASELINE" -tolerance "$TOLERANCE" "$STEADY_JSON"
+    "$GO" run ./scripts/benchcheck -parent "$BASELINE" -tolerance "$TOLERANCE" "$STEADY_JSON"
 fi
 if [ -n "${SERVE_BENCH_OUT:-}" ]; then
     cp "$STEADY_JSON" "$SERVE_BENCH_OUT"
