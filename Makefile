@@ -3,10 +3,11 @@
 # included (plus a dedicated -race pass over the
 # concurrency-heavy engine and fault packages with a higher -count, the
 # paths the robustness machinery exercises hardest), a short-budget fuzz
-# pass over the arithmetic and recoding differential fuzzers, an
-# end-to-end check that fourq-bench's machine-readable output carries
-# real RTL statistics, a healthy batch-engine throughput experiment, a
-# reconciled fault-injection campaign, a lane-batch smoke (the
+# pass over the arithmetic and recoding differential fuzzers, the
+# quickstart example, an end-to-end check that fourq-bench's
+# machine-readable output carries real RTL statistics, a healthy
+# batch-engine throughput experiment, a reconciled fault-injection
+# campaign, a lane-batch smoke (the
 # race-enabled engine coalescing tests plus a width-2 lockstep sweep),
 # an observability smoke (race-enabled span/flight-recorder tests plus a
 # linted end-to-end Prometheus scrape through fourq-sign -metrics),
@@ -88,7 +89,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzMulVsBig$$' -fuzztime=$(FUZZTIME) ./internal/fp2
 	$(GO) test -run='^$$' -fuzz='^FuzzDecomposeRecodeRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/scalar
 
+# Smoke: README's first command (the quickstart example exits non-zero
+# when a check it prints fails), then the bench experiments through
+# benchcheck.
 smoke: build
+	$(GO) run ./examples/quickstart
 	$(GO) run ./cmd/fourq-bench -exp latency -json $(BENCH_JSON)
 	$(GO) run ./scripts/benchcheck $(BENCH_JSON)
 	$(GO) run ./cmd/fourq-bench -exp throughput -json $(THROUGHPUT_JSON)

@@ -36,7 +36,6 @@ func (b *bench) fixedbase() error {
 	// Differential validation of the portfolio-compiled comb against the
 	// library's precomputed-table path, covering the correction (even,
 	// zero) and reduction (>= N) edges.
-	tbl := curve.NewFixedBaseTable(curve.Generator())
 	lm := cp.NewLaneMachine(1)
 	errs := []error{nil}
 	xr, okX := cp.OutputReg("x")
@@ -54,7 +53,7 @@ func (b *bench) fixedbase() error {
 		if _, err := lm.RunLanes([]rtl.RunInput{{Rec: rec, Corrected: corrected}}, errs); err != nil || errs[0] != nil {
 			return fmt.Errorf("validation scalar %d: %v", i, errors.Join(err, errs[0]))
 		}
-		want := tbl.ScalarMult(k).Affine()
+		want := curve.ScalarBaseMult(k).Affine()
 		if !lm.Reg(0, xr).Equal(want.X) || !lm.Reg(0, yr).Equal(want.Y) {
 			return fmt.Errorf("validation scalar %d: compiled comb differs from curve.FixedBaseTable", i)
 		}

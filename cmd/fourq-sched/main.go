@@ -11,11 +11,8 @@ import (
 	"os"
 	"time"
 
-	"path/filepath"
-
 	"repro/internal/core"
 	"repro/internal/curve"
-	"repro/internal/hdl"
 	"repro/internal/isa"
 	"repro/internal/jobshop"
 	"repro/internal/scalar"
@@ -35,14 +32,13 @@ func main() {
 	timeBudget := flag.Duration("time-budget", 0, "portfolio wall-clock cap (breaks run-to-run determinism)")
 	dumpAsm := flag.String("dump-asm", "", "write the scheduled microprogram as assembly text to this file")
 	dumpDot := flag.String("dump-dot", "", "write the trace dataflow graph in Graphviz DOT format to this file")
-	verilogDir := flag.String("verilog", "", "export the scheduled design as Verilog into this directory")
 	flag.Parse()
 
 	if err := run(runConfig{
 		block: *block, method: *method, listing: *listing,
 		mulLat: *mulLat, addLat: *addLat, blockSize: *blockSize,
 		seed: *seed, rounds: *rounds, timeBudget: *timeBudget,
-		dumpAsm: *dumpAsm, dumpDot: *dumpDot, verilogDir: *verilogDir,
+		dumpAsm: *dumpAsm, dumpDot: *dumpDot,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "fourq-sched:", err)
 		os.Exit(1)
@@ -79,7 +75,6 @@ type runConfig struct {
 	timeBudget time.Duration
 	dumpAsm    string
 	dumpDot    string
-	verilogDir string
 }
 
 func run(rc runConfig) error {
@@ -162,22 +157,6 @@ func run(rc runConfig) error {
 			return err
 		}
 		fmt.Printf("  wrote assembly listing to %s\n", rc.dumpAsm)
-	}
-
-	if rc.verilogDir != "" {
-		design, err := hdl.Generate(r.Program)
-		if err != nil {
-			return err
-		}
-		if err := os.MkdirAll(rc.verilogDir, 0o755); err != nil {
-			return err
-		}
-		for name, contents := range design {
-			if err := os.WriteFile(filepath.Join(rc.verilogDir, name), []byte(contents), 0o644); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("  exported %d Verilog/ROM files to %s\n", len(design), rc.verilogDir)
 	}
 
 	if rc.listing {

@@ -1,6 +1,6 @@
 // Command fourq-sign is the ITS-flavoured end-to-end demo: generate a
-// key pair, sign a message with ECDSA over FourQ, verify it, then run
-// SchnorrQ signing and verification with every scalar multiplication
+// SchnorrQ key pair, sign a message and verify it in software, then
+// repeat signing and verification with every scalar multiplication
 // served by the concurrent batch engine (cycle-accurate RTL workers),
 // and report what the modelled ASIC would achieve for the same
 // operations.
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ecdsa"
 	"repro/internal/engine"
 	"repro/internal/schnorrq"
 	"repro/internal/telemetry"
@@ -51,9 +50,9 @@ func run(msg string, asic bool, workers int, debugAddr, metricsPath string) erro
 	if debugAddr != "" {
 		telemetry.ServeDebug(debugAddr, reg, fr)
 	}
-	fmt.Println("generating FourQ key pair...")
+	fmt.Println("generating SchnorrQ key pair...")
 	t0 := time.Now()
-	priv, err := ecdsa.GenerateKey(rand.Reader)
+	key, err := schnorrq.GenerateKey(rand.Reader)
 	if err != nil {
 		return err
 	}
@@ -61,17 +60,13 @@ func run(msg string, asic bool, workers int, debugAddr, metricsPath string) erro
 
 	fmt.Printf("signing %q...\n", msg)
 	t0 = time.Now()
-	sig, err := ecdsa.Sign(rand.Reader, priv, []byte(msg))
-	if err != nil {
-		return err
-	}
+	sig := key.Sign([]byte(msg))
 	signDur := time.Since(t0)
-	b := sig.Bytes()
-	fmt.Printf("  signature (r||s): %x...\n", b[:24])
+	fmt.Printf("  signature (R||s): %x...\n", sig[:24])
 	fmt.Printf("  software signing time: %v\n", signDur.Round(time.Microsecond))
 
 	t0 = time.Now()
-	ok := ecdsa.Verify(&priv.Public, []byte(msg), sig)
+	ok := schnorrq.Verify(&key.Public, []byte(msg), sig[:])
 	verDur := time.Since(t0)
 	if !ok {
 		return fmt.Errorf("signature did not verify")
@@ -80,12 +75,12 @@ func run(msg string, asic bool, workers int, debugAddr, metricsPath string) erro
 
 	// Tampering check for the demo.
 	bad := strings.ToUpper(msg)
-	if ecdsa.Verify(&priv.Public, []byte(bad), sig) {
+	if schnorrq.Verify(&key.Public, []byte(bad), sig[:]) {
 		return fmt.Errorf("tampered message verified")
 	}
 	fmt.Println("  tampered message correctly rejected")
 
-	if err := schnorrqOverEngine(msg, workers, reg, fr); err != nil {
+	if err := schnorrqOverEngine(key, msg, sig, workers, reg, fr); err != nil {
 		return err
 	}
 
@@ -130,11 +125,12 @@ func run(msg string, asic bool, workers int, debugAddr, metricsPath string) erro
 	return nil
 }
 
-// schnorrqOverEngine signs and verifies the message with SchnorrQ where
-// every scalar multiplication runs through the batch engine: the nonce
+// schnorrqOverEngine signs and verifies the message again where every
+// scalar multiplication runs through the batch engine: the nonce
 // commitment [r]G during signing, and [s]G plus [h]A during
-// verification, are each executed on a cycle-accurate RTL worker.
-func schnorrqOverEngine(msg string, workers int, reg *telemetry.Registry, fr *telemetry.FlightRecorder) error {
+// verification, are each executed on a cycle-accurate RTL worker. soft
+// is the software signature the engine's must reproduce byte for byte.
+func schnorrqOverEngine(key *schnorrq.PrivateKey, msg string, soft [schnorrq.SignatureSize]byte, workers int, reg *telemetry.Registry, fr *telemetry.FlightRecorder) error {
 	fmt.Printf("SchnorrQ over the batch engine (%d worker(s), RTL executors):\n", workers)
 	eng, err := engine.New(core.Config{}, engine.Options{
 		Workers: workers, Registry: reg, FlightRecorder: fr,
@@ -143,11 +139,6 @@ func schnorrqOverEngine(msg string, workers int, reg *telemetry.Registry, fr *te
 		return err
 	}
 	defer eng.Close()
-
-	key, err := schnorrq.GenerateKey(rand.Reader)
-	if err != nil {
-		return err
-	}
 	ctx := context.Background()
 
 	t0 := time.Now()
@@ -162,7 +153,7 @@ func schnorrqOverEngine(msg string, workers int, reg *telemetry.Registry, fr *te
 	// Cross-check: the engine-backed signature must be byte-identical to
 	// the pure-software one (SchnorrQ is deterministic) and must pass the
 	// software verifier.
-	if soft := key.Sign([]byte(msg)); soft != sig {
+	if soft != sig {
 		return fmt.Errorf("engine-backed signature diverges from software signing")
 	}
 	pub := &key.Public

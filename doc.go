@@ -6,9 +6,9 @@
 //
 //   - the FourQ elliptic curve stack: GF(2^127-1) and GF(p^2) arithmetic,
 //     complete twisted Edwards point operations, four-way decomposed
-//     scalar multiplication (the paper's Algorithm 1), and ECDSA
-//     (internal/fp, internal/fp2, internal/curve, internal/scalar,
-//     internal/ecdsa);
+//     scalar multiplication (the paper's Algorithm 1), and SchnorrQ
+//     signatures (internal/fp, internal/fp2, internal/curve,
+//     internal/scalar, internal/schnorrq);
 //   - the paper's automated hardware-design flow: an execution-trace
 //     recorder (internal/trace), a job-shop / RCPSP solver standing in
 //     for PySchedule + IBM CP Optimizer (internal/jobshop), a scheduling

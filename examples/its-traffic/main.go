@@ -3,7 +3,8 @@
 // cites ~1000 messages/s at 6 Mb/s channel bandwidth, growing with 5G).
 // This example sizes the modelled FourQ ASIC against that load across
 // supply voltages and finds the lowest-power operating point that still
-// meets the deadline.
+// meets the deadline. It exits non-zero if any honest message fails
+// to verify.
 package main
 
 import (
@@ -12,15 +13,15 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/ecdsa"
 	"repro/internal/its"
+	"repro/internal/schnorrq"
 )
 
 // message is a signed vehicle-to-infrastructure report.
 type message struct {
 	payload []byte
-	sig     ecdsa.Signature
-	pub     *ecdsa.PublicKey
+	sig     [schnorrq.SignatureSize]byte
+	pub     *schnorrq.PublicKey
 }
 
 func main() {
@@ -29,28 +30,27 @@ func main() {
 	const msgsPerVehicle = 4
 	var msgs []message
 	for v := 0; v < vehicles; v++ {
-		priv, err := ecdsa.GenerateKey(rand.Reader)
+		priv, err := schnorrq.GenerateKey(rand.Reader)
 		if err != nil {
 			log.Fatal(err)
 		}
 		for i := 0; i < msgsPerVehicle; i++ {
 			payload := []byte(fmt.Sprintf("vehicle %d: pos=(%d,%d) speed=%d", v, 100*v+i, 200-v, 40+i))
-			sig, err := ecdsa.Sign(rand.Reader, priv, payload)
-			if err != nil {
-				log.Fatal(err)
-			}
-			msgs = append(msgs, message{payload, sig, &priv.Public})
+			msgs = append(msgs, message{payload, priv.Sign(payload), &priv.Public})
 		}
 	}
 
 	// Functional verification of the whole flood.
 	okCount := 0
 	for _, m := range msgs {
-		if ecdsa.Verify(m.pub, m.payload, m.sig) {
+		if schnorrq.Verify(m.pub, m.payload, m.sig[:]) {
 			okCount++
 		}
 	}
 	fmt.Printf("verified %d/%d vehicle messages functionally\n\n", okCount, len(msgs))
+	if okCount != len(msgs) {
+		log.Fatalf("%d honest messages failed to verify", len(msgs)-okCount)
+	}
 
 	// Size the ASIC against the load. One verification needs a
 	// double-scalar multiplication, which we charge as 2 SMs.

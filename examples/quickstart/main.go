@@ -1,6 +1,6 @@
 // Quickstart: the FourQ library in six steps -- key generation, scalar
 // multiplication (functional and on the cycle-accurate ASIC model),
-// signing and verification.
+// signing and verification. It exits non-zero if any check fails.
 package main
 
 import (
@@ -10,11 +10,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/curve"
-	"repro/internal/ecdsa"
 	"repro/internal/scalar"
+	"repro/internal/schnorrq"
 )
 
 func main() {
+	failed := false
+	check := func(label string, ok bool) {
+		fmt.Println(label, ok)
+		failed = failed || !ok
+	}
+
 	// 1. A random scalar and the classic double-and-add reference.
 	k, err := scalar.Random(rand.Reader)
 	if err != nil {
@@ -24,7 +30,7 @@ func main() {
 
 	// 2. The paper's Algorithm 1: decomposed, table-driven scalar mult.
 	fast := curve.ScalarMult(k, curve.Generator())
-	fmt.Println("Algorithm 1 matches double-and-add:", fast.Equal(ref))
+	check("Algorithm 1 matches double-and-add:", fast.Equal(ref))
 
 	// 3. Point encoding round trip.
 	enc := fast.Bytes()
@@ -32,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("compressed encoding round-trips:   ", dec.Equal(fast))
+	check("compressed encoding round-trips:   ", dec.Equal(fast))
 
 	// 4. The same multiplication on the modelled ASIC.
 	proc, err := core.New(core.Config{})
@@ -44,20 +50,17 @@ func main() {
 		log.Fatal(err)
 	}
 	want := fast.Affine()
-	fmt.Println("cycle-accurate RTL model agrees:   ", hw.X.Equal(want.X) && hw.Y.Equal(want.Y))
+	check("cycle-accurate RTL model agrees:   ", hw.X.Equal(want.X) && hw.Y.Equal(want.Y))
 	fmt.Printf("  (%d cycles, %d multiplications issued)\n", stats.Cycles, stats.MulIssues)
 
-	// 5. ECDSA over FourQ.
-	priv, err := ecdsa.GenerateKey(rand.Reader)
+	// 5. SchnorrQ signatures over FourQ.
+	priv, err := schnorrq.GenerateKey(rand.Reader)
 	if err != nil {
 		log.Fatal(err)
 	}
 	msg := []byte("hello, FourQ")
-	sig, err := ecdsa.Sign(rand.Reader, priv, msg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("signature verifies:                ", ecdsa.Verify(&priv.Public, msg, sig))
+	sig := priv.Sign(msg)
+	check("signature verifies:                ", schnorrq.Verify(&priv.Public, msg, sig[:]))
 
 	// 6. What the silicon would do.
 	m, err := proc.PowerModel()
@@ -66,4 +69,8 @@ func main() {
 	}
 	fmt.Printf("modelled chip @1.2V: %.1f us and %.2f uJ per scalar multiplication\n",
 		m.Latency(1.2)*1e6, m.EnergyPerSM(1.2)*1e6)
+
+	if failed {
+		log.Fatal("a check failed")
+	}
 }

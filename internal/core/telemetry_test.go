@@ -4,39 +4,28 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/jobshop"
 	"repro/internal/scalar"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
 // TestTableIBnBProgress checks the acceptance criterion that the
 // branch-and-bound solver reports at least one progress event
-// (incumbent or bound improvement) on the Table I workload.
+// (incumbent or bound improvement) on the Table I workload. It reads
+// the solve TestTableI checks (solveTableI).
 func TestTableIBnBProgress(t *testing.T) {
-	var incumbents, bounds, done int
-	r, err := TableIObserved(sched.DefaultResources(), func(p jobshop.Progress) {
-		switch p.Kind {
-		case jobshop.ProgressIncumbent:
-			incumbents++
-		case jobshop.ProgressBound:
-			bounds++
-		case jobshop.ProgressDone:
-			done++
-		}
-	})
+	run, err := solveTableI()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if incumbents+bounds < 1 {
+	if run.incumbents+run.bounds < 1 {
 		t.Fatalf("no incumbent/bound progress events on the Table I workload (incumbents=%d bounds=%d)",
-			incumbents, bounds)
+			run.incumbents, run.bounds)
 	}
-	if done != 1 {
-		t.Fatalf("done events = %d, want 1", done)
+	if run.done != 1 {
+		t.Fatalf("done events = %d, want 1", run.done)
 	}
-	if r.Makespan <= 0 {
-		t.Fatalf("Table I makespan = %d", r.Makespan)
+	if run.res.Makespan <= 0 {
+		t.Fatalf("Table I makespan = %d", run.res.Makespan)
 	}
 }
 

@@ -3,16 +3,11 @@ package curve
 import (
 	"repro/internal/fp"
 	"repro/internal/fp2"
-	"repro/internal/scalar"
 )
 
-// Constant-time scalar multiplication: the software analogue of the
-// security property the fixed-FSM hardware provides structurally. The
-// operation sequence of ScalarMult is already scalar-independent; this
-// variant additionally removes the secret-dependent memory indexing
-// (table lookups scan all eight entries under masks) and the
-// secret-dependent branches (sign application and parity correction
-// select through masks).
+// Masked selects: the branch-free building blocks of the constant-time
+// fixed-base walk (FixedBaseTable.ScalarMult), the software analogue of
+// the security property the fixed-FSM hardware provides structurally.
 
 // cselect2 is fp.CSelect lifted to GF(p^2).
 func cselect2(flag uint64, a, b fp2.Element) fp2.Element {
@@ -30,57 +25,4 @@ func cselectCached(flag uint64, a, b Cached) Cached {
 		Z2:      cselect2(flag, a.Z2, b.Z2),
 		T2d:     cselect2(flag, a.T2d, b.T2d),
 	}
-}
-
-// lookupCT scans the whole table and accumulates the requested entry
-// under masks: no secret-dependent memory address is formed.
-func lookupCT(table *[8]Cached, idx uint8) Cached {
-	var out Cached
-	for j := 0; j < 8; j++ {
-		// flag = 1 iff j == idx, computed without branching.
-		x := uint64(idx) ^ uint64(j)
-		flag := uint64(1) ^ ((x | -x) >> 63)
-		out = cselectCached(flag, table[j], out)
-	}
-	return out
-}
-
-// condNegCT applies the digit sign: for sign == -1 the X+Y / Y-X
-// coordinates swap and 2dT negates, all selected through masks.
-func condNegCT(c Cached, sign int8) Cached {
-	// neg = 1 iff sign < 0.
-	neg := uint64(uint8(sign)) >> 7
-	negT := fp2.Neg(c.T2d)
-	return Cached{
-		XplusY:  cselect2(neg, c.YminusX, c.XplusY),
-		YminusX: cselect2(neg, c.XplusY, c.YminusX),
-		Z2:      c.Z2,
-		T2d:     cselect2(neg, negT, c.T2d),
-	}
-}
-
-// ScalarMultCT computes [k]p with a fixed operation sequence, masked
-// table scans and no secret-dependent branches. Functionally identical
-// to ScalarMult.
-func ScalarMultCT(k scalar.Scalar, p Point) Point {
-	dec := scalar.Decompose(k)
-	rec := scalar.Recode(dec)
-	table := BuildTable(NewMultiBase(p)) // depends only on p
-
-	q := AddCached(Identity(), condNegCT(lookupCT(&table, rec.Index[scalar.Digits-1]), rec.Sign[scalar.Digits-1]))
-	for i := scalar.Digits - 2; i >= 0; i-- {
-		q = Double(q)
-		q = AddCached(q, condNegCT(lookupCT(&table, rec.Index[i]), rec.Sign[i]))
-	}
-
-	// Unconditional parity correction: select between the cached identity
-	// and -P through masks, then always add.
-	corrected := uint64(0)
-	if dec.Corrected {
-		corrected = 1
-	}
-	// (The flag bit itself is derived from k's parity; turning the bool
-	// into a mask without further branching keeps the add unconditional.)
-	corr := cselectCached(corrected, p.ToCached().Neg(), IdentityCached())
-	return AddCached(q, corr)
 }

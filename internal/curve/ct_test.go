@@ -1,11 +1,9 @@
 package curve
 
 import (
-	mrand "math/rand"
 	"testing"
 
 	"repro/internal/fp"
-	"repro/internal/scalar"
 )
 
 func TestCSelectAndCSwap(t *testing.T) {
@@ -25,67 +23,5 @@ func TestCSelectAndCSwap(t *testing.T) {
 	}
 	if fp.CTEq(a, b) != 0 || fp.CTEq(a, a) != 1 {
 		t.Fatal("CTEq wrong")
-	}
-}
-
-func TestLookupCTMatchesIndexing(t *testing.T) {
-	table := BuildTable(NewMultiBase(Generator()))
-	for idx := uint8(0); idx < 8; idx++ {
-		got := lookupCT(&table, idx)
-		want := table[idx]
-		if !got.XplusY.Equal(want.XplusY) || !got.YminusX.Equal(want.YminusX) ||
-			!got.Z2.Equal(want.Z2) || !got.T2d.Equal(want.T2d) {
-			t.Fatalf("masked lookup differs at index %d", idx)
-		}
-	}
-}
-
-func TestCondNegCTMatchesCondNeg(t *testing.T) {
-	table := BuildTable(NewMultiBase(Generator()))
-	for _, sign := range []int8{1, -1} {
-		for idx := 0; idx < 8; idx++ {
-			got := condNegCT(table[idx], sign)
-			want := table[idx].CondNeg(sign)
-			if !got.XplusY.Equal(want.XplusY) || !got.YminusX.Equal(want.YminusX) ||
-				!got.Z2.Equal(want.Z2) || !got.T2d.Equal(want.T2d) {
-				t.Fatalf("condNegCT differs for sign %d index %d", sign, idx)
-			}
-		}
-	}
-}
-
-func TestScalarMultCTAgrees(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(211))
-	g := Generator()
-	for trial := 0; trial < 5; trial++ {
-		k := randScalar(rng)
-		if !ScalarMultCT(k, g).Equal(ScalarMultBinary(k, g)) {
-			t.Fatalf("trial %d: constant-time SM differs", trial)
-		}
-	}
-	for _, k := range []scalar.Scalar{
-		{}, {1}, {2}, {0, 1}, {0, 0, 0, 1},
-		{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)},
-		scalar.FromBig(scalar.Order()),
-	} {
-		if !ScalarMultCT(k, g).Equal(ScalarMultBinary(k, g)) {
-			t.Fatalf("CT SM differs for k=%v", k)
-		}
-	}
-	// And on a non-generator base.
-	p := randPoint(rng)
-	k := randScalar(rng)
-	if !ScalarMultCT(k, p).Equal(ScalarMultBinary(k, p)) {
-		t.Fatal("CT SM differs on random base")
-	}
-}
-
-func BenchmarkScalarMultCT(b *testing.B) {
-	rng := mrand.New(mrand.NewSource(1))
-	k := randScalar(rng)
-	g := Generator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ptSink = ScalarMultCT(k, g)
 	}
 }

@@ -146,9 +146,6 @@ func TestScalarMultVariantsAgree(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		k := randScalar(rng)
 		ref := ScalarMultBinary(k, g)
-		if !ScalarMultWindowed(k, g).Equal(ref) {
-			t.Fatalf("windowed SM disagrees for k=%v", k)
-		}
 		if !ScalarMult(k, g).Equal(ref) {
 			t.Fatalf("decomposed SM (Algorithm 1) disagrees for k=%v", k)
 		}
@@ -207,6 +204,34 @@ func TestScalarMultDistributive(t *testing.T) {
 	}
 }
 
+// TestBatchInvMatchesInv pins fp2.BatchInv (Montgomery's simultaneous
+// inversion) on projective Z coordinates, the inputs it exists for.
+func TestBatchInvMatchesInv(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(111))
+	for trial := 0; trial < 10; trial++ {
+		n := 1 + rng.Intn(9)
+		xs := make([]fp2.Element, n)
+		want := make([]fp2.Element, n)
+		for i := range xs {
+			p := randPoint(rng)
+			xs[i] = p.Z
+			want[i] = fp2.Inv(p.Z)
+		}
+		if trial%3 == 0 && n > 2 {
+			xs[1] = fp2.Zero()
+			want[1] = fp2.Zero()
+		}
+		fp2.BatchInv(xs)
+		for i := range xs {
+			if !xs[i].Equal(want[i]) {
+				t.Fatalf("trial %d entry %d: batch inverse differs", trial, i)
+			}
+		}
+	}
+	// Empty batch is a no-op.
+	fp2.BatchInv(nil)
+}
+
 func TestDoubleScalarMult(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(47))
 	g := Generator()
@@ -216,9 +241,6 @@ func TestDoubleScalarMult(t *testing.T) {
 		want := Add(ScalarMultBinary(k, g), ScalarMultBinary(l, p))
 		if !DoubleScalarMult(k, g, l, p).Equal(want) {
 			t.Fatal("DoubleScalarMult (Shamir) mismatch")
-		}
-		if !DoubleScalarMultSeparate(k, g, l, p).Equal(want) {
-			t.Fatal("DoubleScalarMultSeparate mismatch")
 		}
 	}
 	// Edge cases: zero scalars and equal points.
@@ -347,16 +369,6 @@ func BenchmarkScalarMultBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ptSink = ScalarMultBinary(k, g)
-	}
-}
-
-func BenchmarkScalarMultWindowed(b *testing.B) {
-	rng := mrand.New(mrand.NewSource(1))
-	k := randScalar(rng)
-	g := Generator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ptSink = ScalarMultWindowed(k, g)
 	}
 }
 

@@ -1,6 +1,8 @@
 package curve
 
 import (
+	"sync"
+
 	"repro/internal/scalar"
 )
 
@@ -8,9 +10,9 @@ import (
 // advance (the generator, for signing), a windowed precomputed table
 // turns the whole multiplication into ~63 cached additions with no
 // doublings. This is the classic fixed-base optimization FourQ
-// deployments use on the signing side; it is exposed here as the
-// library-level counterpart (the modelled ASIC keeps the variable-base
-// datapath of the paper).
+// deployments use on the signing side: the generator's table serves
+// every secret software [k]G (ScalarBaseMult), and
+// FixedBaseOddMultiples feeds the comb microprogram's ROM.
 
 // FixedBaseWindow is the window width in bits.
 const FixedBaseWindow = 4
@@ -61,11 +63,24 @@ func (t *FixedBaseTable) ScalarMult(k scalar.Scalar) Point {
 	return acc
 }
 
+// generatorTable is the generator's fixed-base table (~123 KB). It is
+// built on first use, so a process that never multiplies the generator
+// in software pays nothing for it.
+var generatorTable = sync.OnceValue(func() *FixedBaseTable {
+	return NewFixedBaseTable(Generator())
+})
+
+// ScalarBaseMult computes [k]G on the generator's fixed-base table: the
+// constant-time walk every secret software [k]G (key derivation,
+// signing nonces, the engine's degraded path) goes through.
+func ScalarBaseMult(k scalar.Scalar) Point {
+	return generatorTable().ScalarMult(k)
+}
+
 // lookupFixedBaseCT selects win[d-1] for d in [1,15], or the cached
 // identity for d == 0, scanning the whole window under masks so no
-// secret-dependent address is formed (same discipline as lookupCT in
-// ct.go, widened to the comb table's 15 entries plus the implicit
-// zero entry).
+// secret-dependent address is formed (the masked selects of ct.go over
+// the comb table's 15 entries plus the implicit zero entry).
 func lookupFixedBaseCT(win *[15]Cached, d uint64) Cached {
 	out := IdentityCached()
 	for j := 1; j <= 15; j++ {

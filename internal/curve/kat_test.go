@@ -47,9 +47,9 @@ func TestKnownAnswerVectors(t *testing.T) {
 		if string(got[:]) != string(want) {
 			t.Fatalf("KAT mismatch for k=%v:\n got %x\nwant %x", k, got, want)
 		}
-		// The affine-table and windowed variants must agree too.
-		if alt := ScalarMultAffine(k, Generator()).Bytes(); alt != got {
-			t.Fatalf("affine-table variant diverges for k=%v", k)
+		// The constant-time generator table must agree too.
+		if alt := ScalarBaseMult(k).Bytes(); alt != got {
+			t.Fatalf("generator-table walk diverges for k=%v", k)
 		}
 		vectors++
 	}

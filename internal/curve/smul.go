@@ -4,12 +4,10 @@ import (
 	"repro/internal/scalar"
 )
 
-// This file implements scalar multiplication three ways:
+// This file implements scalar multiplication two ways:
 //
 //   - ScalarMultBinary: the classical double-and-add of Section II of the
 //     paper (the "general and fast algorithm" baseline).
-//   - ScalarMultWindowed: fixed 4-bit windowed method, a second software
-//     baseline.
 //   - ScalarMult: the paper's Algorithm 1 -- four-way decomposition,
 //     8-entry table in cached coordinates, GLV-SAC recoding and a
 //     64-iteration DBL+ADD main loop. This is the algorithm whose
@@ -25,30 +23,6 @@ func ScalarMultBinary(k scalar.Scalar, p Point) Point {
 		q = Double(q)
 		if k.Bit(i) == 1 {
 			q = AddCached(q, c)
-		}
-	}
-	return q
-}
-
-// ScalarMultWindowed computes [k]p with a fixed 4-bit window:
-// 15 precomputed multiples and 64 iterations of 4 doublings + 1 addition.
-func ScalarMultWindowed(k scalar.Scalar, p Point) Point {
-	// table[i] = [i+1]p in cached form.
-	var table [15]Cached
-	acc := p
-	table[0] = p.ToCached()
-	for i := 1; i < 15; i++ {
-		acc = AddCached(acc, table[0])
-		table[i] = acc.ToCached()
-	}
-	q := Identity()
-	for i := 63; i >= 0; i-- {
-		for j := 0; j < 4; j++ {
-			q = Double(q)
-		}
-		w := k.Bit(4*i+3)<<3 | k.Bit(4*i+2)<<2 | k.Bit(4*i+1)<<1 | k.Bit(4*i)
-		if w != 0 {
-			q = AddCached(q, table[w-1])
 		}
 	}
 	return q
@@ -155,13 +129,6 @@ func DoubleScalarMult(k scalar.Scalar, p Point, l scalar.Scalar, q Point) Point 
 		}
 	}
 	return acc
-}
-
-// DoubleScalarMultSeparate computes [k]p + [l]q as two independent
-// decomposed multiplications; kept as the reference for
-// DoubleScalarMult and for workloads that want Algorithm 1's structure.
-func DoubleScalarMultSeparate(k scalar.Scalar, p Point, l scalar.Scalar, q Point) Point {
-	return Add(ScalarMult(k, p), ScalarMult(l, q))
 }
 
 // InSubgroup reports whether p lies in the prime-order subgroup,

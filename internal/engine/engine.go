@@ -941,7 +941,13 @@ func (e *Engine) executeFrom(w *workerState, j *job, prior int) Result {
 		startUS = e.trace.NowUS()
 	}
 	t0 := time.Now()
-	r.Point = curve.ScalarMult(req.K, curve.FromAffine(req.base())).Affine()
+	if req.Class == ClassFixedBase {
+		// The comb class carries signing's secret nonce: take the
+		// constant-time generator table, never a secret-indexed one.
+		r.Point = curve.ScalarBaseMult(req.K).Affine()
+	} else {
+		r.Point = curve.ScalarMult(req.K, curve.FromAffine(req.base())).Affine()
+	}
 	e.execH.Observe(time.Since(t0).Seconds())
 	r.Backend = BackendSoftware
 	e.spanExecute(j, w.id, r.Attempts, BackendSoftware, startUS, true)

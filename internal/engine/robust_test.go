@@ -176,7 +176,18 @@ func TestWorkerQuarantine(t *testing.T) {
 // degrades to the functional backend — without dropping or mis-
 // answering a single submitted request.
 func TestBreakerDegradesUnderSustainedFaults(t *testing.T) {
-	p := testProcessor(t)
+	breakerUnderSustainedFaults(t, testProcessor(t), ClassVariableBase)
+}
+
+// TestBreakerFallbackFixedBase runs the same scenario on the comb
+// class, which carries signing's secret nonce: once the breaker is
+// open, the software answer comes from the constant-time generator
+// table and must equal the naive double-and-add oracle.
+func TestBreakerFallbackFixedBase(t *testing.T) {
+	breakerUnderSustainedFaults(t, testFBProcessor(t), ClassFixedBase)
+}
+
+func breakerUnderSustainedFaults(t *testing.T, p *core.Processor, class Class) {
 	reg := telemetry.NewRegistry()
 	clk := newFakeClock()
 	e := NewWithProcessor(p, Options{
@@ -198,11 +209,14 @@ func TestBreakerDegradesUnderSustainedFaults(t *testing.T) {
 	ctx := context.Background()
 	for i := 1; i <= n; i++ {
 		k := scalar.Scalar{uint64(i), uint64(i) * 0x9E3779B97F4A7C15, 3, uint64(i)}
-		r, err := e.Submit(ctx, Request{K: k})
+		r, err := e.Submit(ctx, Request{K: k, Class: class})
 		if err != nil || r.Err != nil {
 			t.Fatalf("submit %d dropped under sustained faults: %v / %v", i, err, r.Err)
 		}
-		want := oracle(k, curve.Affine{})
+		if r.Backend != BackendSoftware {
+			t.Fatalf("submit %d: backend %v under a stuck multiplier, want software", i, r.Backend)
+		}
+		want := curve.ScalarMultBinary(k, curve.Generator()).Affine()
 		if !r.Point.X.Equal(want.X) || !r.Point.Y.Equal(want.Y) {
 			t.Fatalf("submit %d mis-answered under sustained faults", i)
 		}

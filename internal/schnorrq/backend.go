@@ -91,9 +91,15 @@ func VerifyWith(ctx context.Context, sm ScalarMulter, pub *PublicKey, msg, sig [
 }
 
 // FuncScalarMulter adapts the pure functional curve model to the
-// ScalarMulter interface — the software fallback and the differential
-// reference for engine-backed signing.
+// ScalarMulter and FixedBaseScalarMulter interfaces — the software
+// fallback and the differential reference for engine-backed signing.
 type FuncScalarMulter struct{}
+
+// ScalarMultFixedBase computes [k]G in software on the constant-time
+// generator table, the same walk Sign uses for the secret nonce.
+func (FuncScalarMulter) ScalarMultFixedBase(_ context.Context, k scalar.Scalar) (curve.Affine, error) {
+	return curve.ScalarBaseMult(k).Affine(), nil
+}
 
 // ScalarMultAffine computes [k]base in software.
 func (FuncScalarMulter) ScalarMultAffine(_ context.Context, k scalar.Scalar, base curve.Affine) (curve.Affine, error) {

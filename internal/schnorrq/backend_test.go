@@ -10,7 +10,9 @@ import (
 )
 
 // TestSignWithMatchesSign pins the backend-routed signing path to the
-// plain software path: same key, same message, byte-identical signature.
+// plain software path: same key, same message, byte-identical signature,
+// both through a backend's fixed-base method and through a backend that
+// only offers ScalarMultAffine (SignWith's [r]G-on-the-generator branch).
 func TestSignWithMatchesSign(t *testing.T) {
 	k, err := GenerateKey(rand.Reader)
 	if err != nil {
@@ -18,12 +20,20 @@ func TestSignWithMatchesSign(t *testing.T) {
 	}
 	msg := []byte("engine-routed signing must be bit-compatible")
 	want := k.Sign(msg)
-	got, err := k.SignWith(context.Background(), FuncScalarMulter{}, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("SignWith = %x, Sign = %x", got[:16], want[:16])
+	for name, sm := range map[string]ScalarMulter{
+		"fixed-base":    FuncScalarMulter{},
+		"variable-only": struct{ ScalarMulter }{FuncScalarMulter{}},
+	} {
+		if _, ok := sm.(FixedBaseScalarMulter); ok != (name == "fixed-base") {
+			t.Fatalf("%s: FixedBaseScalarMulter = %v", name, ok)
+		}
+		got, err := k.SignWith(context.Background(), sm, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: SignWith = %x, Sign = %x", name, got[:16], want[:16])
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"io"
 	"math/big"
-	"sync"
 
 	"repro/internal/curve"
 	"repro/internal/scalar"
@@ -84,13 +83,6 @@ func GenerateKey(rand io.Reader) (*PrivateKey, error) {
 	return NewKeyFromSeed(seed)
 }
 
-// baseTable is the generator's fixed-base table (~123 KB), shared by
-// key derivation and signing. It is built on first use, so a process
-// that never derives a key pays nothing for it.
-var baseTable = sync.OnceValue(func() *curve.FixedBaseTable {
-	return curve.NewFixedBaseTable(curve.Generator())
-})
-
 // NewKeyFromSeed deterministically derives a key pair from a seed. The
 // secret scalar multiplication [d]G runs on the constant-time
 // fixed-base walk.
@@ -102,7 +94,7 @@ func NewKeyFromSeed(seed [SeedSize]byte) (*PrivateKey, error) {
 	if k.d.IsZero() {
 		return nil, errors.New("schnorrq: degenerate seed")
 	}
-	k.Public.A = baseTable().ScalarMult(k.d)
+	k.Public.A = curve.ScalarBaseMult(k.d)
 	k.Public.enc = k.Public.A.Bytes()
 	return k, nil
 }
@@ -119,7 +111,7 @@ func (k *PrivateKey) Sign(msg []byte) [SignatureSize]byte {
 		// istically so the nonce is never zero.
 		r = scalar.FromUint64(1)
 	}
-	R := baseTable().ScalarMult(r)
+	R := curve.ScalarBaseMult(r)
 	Renc := R.Bytes()
 	h := hashToScalar(Renc[:], k.Public.enc[:], msg)
 	s := scalar.SubModN(r, scalar.MulModN(h, k.d))
