@@ -20,24 +20,24 @@
 # poisoned shard, a stalled shard, clock skew, saturation, drain racing
 # a fault — against a real in-process server, gated against the
 # committed BENCH_chaos.json),
-# a scheduler smoke (race-enabled portfolio/tabu tests plus a
-# short-budget pinned-seed portfolio solve that must be deterministic,
-# hazard-proven, and beat the committed single-solver makespan),
+# a scheduler smoke (race-enabled portfolio/tabu tests),
 # a fixed-base smoke (race-enabled comb/class-routing tests across the
-# stack plus a real -exp fixedbase run whose comb schedule must beat
-# the variable-base one),
-# and finally the perf-regression gate (scripts/bench_compare.sh): the
-# exact values of a fresh latency+sched+fixedbase run on the portfolio
-# schedule (makespans, schedule hashes, cycles/SM, lower bounds, trace
-# op counts, ROM sizes) must equal the committed BENCH_rtl.json with
-# zero tolerance (refresh it with `make bench-record` after a deliberate
-# change of one), and host SM/s is compared in interleaved pairs of
-# runs against the change's parent commit built in a git worktree:
-# TOLERANCE is the allowed drop of a host row's median paired ratio.
+# stack),
+# and finally the perf-regression gate (scripts/bench_compare.sh): a
+# fresh latency+sched run on the portfolio schedule solves every row of
+# core's program table twice (the processor build and a determinism
+# rerun), proves both solvers' programs on the RTL hazard prover, runs
+# each compiled row differentially against the library, and its exact
+# values (makespans, schedule hashes, cycles/SM, lower bounds, trace op
+# counts, ROM sizes, per program row) must equal the committed
+# BENCH_rtl.json with zero tolerance (refresh it with `make
+# bench-record` after a deliberate change of one); host SM/s is
+# compared in interleaved pairs of runs against the change's parent
+# commit built in a git worktree: TOLERANCE is the allowed drop of a
+# host row's median paired ratio.
 
 GO ?= go
 BENCH_JSON ?= /tmp/bench.json
-FIXEDBASE_JSON ?= /tmp/fixedbase.json
 THROUGHPUT_JSON ?= /tmp/throughput.json
 BATCH_JSON ?= /tmp/batch.json
 FAULTS_JSON ?= /tmp/faults.json
@@ -153,36 +153,28 @@ chaos-record: build
 serve-record: build
 	SERVE_BENCH_OUT=$(SERVE_BASELINE) SERVE_BASELINE=$(SERVE_BASELINE) sh ./scripts/serve_smoke.sh
 
-# Scheduler smoke: the race-enabled portfolio/tabu solver tests, then a
-# short-budget pinned-seed portfolio solve of the real trace that must
-# reproduce itself bit for bit, survive the RTL hazard prover at the
-# cycle count it claimed, and beat the committed baseline's
-# single-solver makespan (the full-budget head-to-head is gated by
-# bench-compare).
+# Scheduler smoke: the race-enabled portfolio/tabu solver tests. The
+# full-budget solves of every program row (deterministic, hazard-proven,
+# no worse than the list schedule) are gated by bench-compare.
 sched-smoke: build
 	$(GO) test -race -count=1 -run 'Portfolio|Tabu|MetricsProgress' ./internal/jobshop ./internal/sched
-	$(GO) run ./scripts/schedsmoke -baseline $(BENCH_BASELINE)
 
 # Fixed-base smoke: the race-enabled comb tests across every layer
 # (recoding, ROM-operand RTL, the comb row of core's program table and
 # the table-driven tests over every row, the engine's class-homogeneous
 # coalescing, fixed-base-routed signing, the literal SchnorrQ key and
-# signature KATs), then the
-# real -exp fixedbase experiment — portfolio-solved, determinism-
-# checked, differentially validated against the library's precomputed
-# table, and required by benchcheck to beat the variable-base schedule.
+# signature KATs). The comb's portfolio solve, its differential run and
+# its win over the variable-base schedule are gated by bench-compare.
 fixedbase-smoke: build
 	$(GO) test -race -count=1 -run 'FixedBase|Class|Recode|ProgramTable|ProgramID|InjectedLaneStats|ExecutorMatchesInterpreted|ProcessorVerify|KAT' ./internal/scalar ./internal/curve ./internal/trace ./internal/rtl ./internal/core ./internal/engine ./internal/schnorrq ./internal/serve
-	$(GO) run ./cmd/fourq-bench -exp fixedbase -json $(FIXEDBASE_JSON)
-	$(GO) run ./scripts/benchcheck $(FIXEDBASE_JSON)
 
 # Record the committed exact-value baseline: the latency experiment
 # (cycles/SM on the portfolio schedule, paper-comparable endo cycles)
-# and the sched and fixedbase head-to-heads (makespans, lower bounds,
-# the deterministic portfolio schedule hashes, the comb's ROM),
-# validated before it lands in the tree.
+# and the sched experiment over every program row (makespans, lower
+# bounds, the deterministic portfolio schedule hashes, ROM), validated
+# before it lands in the tree.
 bench-record: build
-	$(GO) run ./cmd/fourq-bench -exp latency,sched,fixedbase -sched portfolio -json $(BENCH_BASELINE)
+	$(GO) run ./cmd/fourq-bench -exp latency,sched -sched portfolio -json $(BENCH_BASELINE)
 	$(GO) run ./scripts/benchcheck $(BENCH_BASELINE)
 
 # Perf-regression gate: exact rows against the committed baseline with
@@ -196,4 +188,4 @@ ci: vet build race race-robust fuzz-smoke smoke lane-smoke obs-smoke serve-smoke
 
 clean:
 	$(GO) clean ./...
-	rm -f $(BENCH_JSON) $(THROUGHPUT_JSON) $(BATCH_JSON) $(FAULTS_JSON) $(COMPARE_JSON) $(OBS_METRICS) $(CHAOS_JSON) $(FIXEDBASE_JSON)
+	rm -f $(BENCH_JSON) $(THROUGHPUT_JSON) $(BATCH_JSON) $(FAULTS_JSON) $(COMPARE_JSON) $(OBS_METRICS) $(CHAOS_JSON)

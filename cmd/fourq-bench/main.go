@@ -8,6 +8,7 @@
 //	fourq-bench -exp table2    # E5: comparison to prior art
 //	fourq-bench -exp fig3      # E6: area breakdown
 //	fourq-bench -exp ablation  # E7: scheduler ablation
+//	fourq-bench -exp sched     # every program row: list vs portfolio schedule
 //	fourq-bench -exp throughput# E8: batch-engine SM/s vs worker count
 //	fourq-bench -exp faults    # E9: fault-injection detection coverage
 //	fourq-bench -exp all       # everything
@@ -58,7 +59,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: profile|table1|latency|throughput|batch|sched|fixedbase|fig4|table2|fig3|ablation|pareto|faults|all")
+	exp := flag.String("exp", "all", "comma-separated experiments: profile|table1|latency|throughput|batch|sched|fig4|table2|fig3|ablation|pareto|faults|all")
 	full := flag.Bool("full", false, "include full-trace scheduler ablation (slow)")
 	lanes := flag.String("lanes", "1,2,4,8", "ascending lockstep lane widths swept by -exp batch")
 	schedSolver := flag.String("sched", "single", "schedule solver for the benchmarked processor: single (fast list scheduler) or portfolio (parallel tabu + LNS search; slower build, shorter schedule)")
@@ -81,15 +82,16 @@ func main() {
 	}
 }
 
-// benchSchedSeed and benchPortfolioKnobs pin the bench's portfolio
-// solves to the shared production defaults (internal/sched), so the
-// committed BENCH_rtl.json baseline, the -sched portfolio processor
-// builds, and fourq-serve -sched portfolio all race the exact same
-// deterministic configuration.
-const benchSchedSeed = sched.DefaultPortfolioSeed
-
-func benchPortfolioKnobs() sched.PortfolioKnobs {
-	return sched.DefaultPortfolioKnobs()
+// portfolioOptions pin the bench's portfolio solves to the shared
+// production defaults (internal/sched), so the committed BENCH_rtl.json
+// baseline, the -sched portfolio processor builds, and fourq-serve
+// -sched portfolio all race the exact same deterministic configuration.
+func portfolioOptions() sched.Options {
+	return sched.Options{
+		Method:    sched.MethodPortfolio,
+		Seed:      sched.DefaultPortfolioSeed,
+		Portfolio: sched.DefaultPortfolioKnobs(),
+	}
 }
 
 // bench carries the shared state of one invocation: the lazily built
@@ -102,17 +104,14 @@ type bench struct {
 	rep       *benchreport.Report
 }
 
-// config is the processor configuration of this invocation — every
-// experiment that builds or caches a processor must go through it so
-// the -sched selection applies uniformly.
+// config is the processor configuration of this invocation, with every
+// row of the program table — every experiment that builds or caches a
+// processor must go through it so the -sched selection applies
+// uniformly.
 func (b *bench) config() core.Config {
-	cfg := core.Config{}
+	cfg := core.Config{FixedBase: true}
 	if b.schedName == "portfolio" {
-		cfg.Sched = sched.Options{
-			Method:    sched.MethodPortfolio,
-			Seed:      benchSchedSeed,
-			Portfolio: benchPortfolioKnobs(),
-		}
+		cfg.Sched = portfolioOptions()
 	}
 	return cfg
 }
@@ -128,8 +127,12 @@ func (b *bench) processor() (*core.Processor, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("  functional program: %s\n", core.ProgramSummary(p.Program()))
-	fmt.Printf("  endo-workload program: %s\n\n", core.ProgramSummary(p.EndoProgram()))
+	for id := range core.NumPrograms {
+		if r, _ := p.Row(id); r != nil {
+			fmt.Printf("  %s program: %s\n", id, core.ProgramSummary(r.Program))
+		}
+	}
+	fmt.Println()
 	b.proc = p
 	return p, nil
 }
@@ -160,7 +163,6 @@ func run(exp string, full bool, lanes, schedSolver, jsonPath, tracePath string) 
 		{"throughput", b.throughput},
 		{"batch", b.batch},
 		{"sched", b.sched},
-		{"fixedbase", b.fixedbase},
 		{"fig4", b.fig4},
 		{"table2", b.table2},
 		{"fig3", b.fig3},

@@ -12,14 +12,6 @@
 // scrapes the server's /metrics at the end of the run, which lets the
 // smoke harness assert on the server's own counters without needing
 // curl in the image.
-//
-// -fault-window "start,end" marks the interval (offsets from run
-// start) in which a fault is being injected on the server side — e.g.
-// a chaos campaign arming an injector, or an operator killing a shard.
-// The report then splits goodput, tallies, and latency percentiles
-// into before/during/after phases keyed by each request's launch time,
-// so degradation under the fault and recovery after it are measured
-// separately instead of averaged away.
 package main
 
 import (
@@ -55,10 +47,9 @@ func main() {
 	jsonPath := flag.String("json", "", "write the fourq-bench/v1 report to this file")
 	metricsOut := flag.String("metrics-out", "", "scrape the server's /metrics into this file after the run")
 	expName := flag.String("exp", "serve", "experiment name in the report")
-	faultWindow := flag.String("fault-window", "", "\"start,end\" offsets of the server-side fault window (e.g. \"2s,3s\"); splits the report into before/during/after phases")
 	flag.Parse()
 
-	if err := run(*target, *rps, *duration, *mix, *batchSize, *tenant, *timeout, *waitReady, *jsonPath, *metricsOut, *expName, *faultWindow); err != nil {
+	if err := run(*target, *rps, *duration, *mix, *batchSize, *tenant, *timeout, *waitReady, *jsonPath, *metricsOut, *expName); err != nil {
 		fmt.Fprintln(os.Stderr, "fourq-loadgen:", err)
 		os.Exit(1)
 	}
@@ -149,32 +140,12 @@ func parseMix(mix string, ops []opKind) ([]opKind, error) {
 	return sched, nil
 }
 
-// outcome tallies one request's fate. at is the launch offset from run
-// start — the phase key when a fault window is configured.
+// outcome tallies one request's fate.
 type outcome struct {
 	status  int
 	latency time.Duration
 	smCost  int
-	at      time.Duration
 	err     error
-}
-
-// parseFaultWindow parses "start,end" run offsets.
-func parseFaultWindow(spec string, duration time.Duration) (start, end time.Duration, err error) {
-	sStr, eStr, ok := strings.Cut(spec, ",")
-	if !ok {
-		return 0, 0, fmt.Errorf("fault-window: %q is not \"start,end\"", spec)
-	}
-	if start, err = time.ParseDuration(strings.TrimSpace(sStr)); err != nil {
-		return 0, 0, fmt.Errorf("fault-window start: %w", err)
-	}
-	if end, err = time.ParseDuration(strings.TrimSpace(eStr)); err != nil {
-		return 0, 0, fmt.Errorf("fault-window end: %w", err)
-	}
-	if start < 0 || end <= start || end > duration {
-		return 0, 0, fmt.Errorf("fault-window: need 0 <= start < end <= duration (%v), got [%v, %v]", duration, start, end)
-	}
-	return start, end, nil
 }
 
 // percentiles reads p50/p95/p99 off sorted latencies.
@@ -220,16 +191,9 @@ func waitHealthy(client *http.Client, target string, deadline time.Duration) err
 	}
 }
 
-func run(target string, rps float64, duration time.Duration, mix string, batchSize int, tenant string, timeout, waitReady time.Duration, jsonPath, metricsOut, expName, faultWindow string) error {
+func run(target string, rps float64, duration time.Duration, mix string, batchSize int, tenant string, timeout, waitReady time.Duration, jsonPath, metricsOut, expName string) error {
 	if rps <= 0 {
 		return fmt.Errorf("rps must be positive")
-	}
-	var fwStart, fwEnd time.Duration
-	if faultWindow != "" {
-		var err error
-		if fwStart, fwEnd, err = parseFaultWindow(faultWindow, duration); err != nil {
-			return err
-		}
 	}
 	ops, err := buildOps(batchSize)
 	if err != nil {
@@ -275,10 +239,9 @@ loop:
 				go func(o opKind) {
 					defer wg.Done()
 					t0 := time.Now()
-					at := t0.Sub(start)
 					req, err := http.NewRequest(http.MethodPost, target+o.path, bytes.NewReader(o.body))
 					if err != nil {
-						outcomes <- outcome{err: err, at: at}
+						outcomes <- outcome{err: err}
 						return
 					}
 					req.Header.Set("Content-Type", "application/json")
@@ -287,12 +250,12 @@ loop:
 					}
 					resp, err := client.Do(req)
 					if err != nil {
-						outcomes <- outcome{err: err, at: at}
+						outcomes <- outcome{err: err}
 						return
 					}
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
-					outcomes <- outcome{status: resp.StatusCode, latency: time.Since(t0), smCost: o.smCost, at: at}
+					outcomes <- outcome{status: resp.StatusCode, latency: time.Since(t0), smCost: o.smCost}
 				}(o)
 			}
 		}
@@ -308,64 +271,23 @@ loop:
 		BatchSize:       batchSize,
 		Requests:        map[string]int{"total": 0, "ok": 0, "shed": 0, "rate_limited": 0, "failed": 0},
 	}
-	phaseOf := func(at time.Duration) string {
-		switch {
-		case at < fwStart:
-			return "before"
-		case at < fwEnd:
-			return "during"
-		default:
-			return "after"
-		}
-	}
-	var phaseLat map[string][]time.Duration
-	if faultWindow != "" {
-		stats.FaultWindow = faultWindow
-		stats.Phases = map[string]*benchreport.ServePhase{
-			"before": {Seconds: fwStart.Seconds()},
-			"during": {Seconds: (fwEnd - fwStart).Seconds()},
-			"after":  {Seconds: (duration - fwEnd).Seconds()},
-		}
-		for _, ph := range stats.Phases {
-			ph.Requests = map[string]int{"total": 0, "ok": 0, "shed": 0, "rate_limited": 0, "failed": 0}
-		}
-		phaseLat = map[string][]time.Duration{}
-	}
 	var okLat []time.Duration
 	smDone := 0
 	for o := range outcomes {
-		var ph *benchreport.ServePhase
-		var phName string
-		if stats.Phases != nil {
-			phName = phaseOf(o.at)
-			ph = stats.Phases[phName]
-		}
 		stats.Requests["total"]++
-		if ph != nil {
-			ph.Requests["total"]++
-		}
-		bump := func(key string) {
-			stats.Requests[key]++
-			if ph != nil {
-				ph.Requests[key]++
-			}
-		}
 		switch {
 		case o.err != nil:
-			bump("failed")
+			stats.Requests["failed"]++
 		case o.status == http.StatusOK:
-			bump("ok")
+			stats.Requests["ok"]++
 			okLat = append(okLat, o.latency)
 			smDone += o.smCost
-			if ph != nil {
-				phaseLat[phName] = append(phaseLat[phName], o.latency)
-			}
 		case o.status == http.StatusServiceUnavailable:
-			bump("shed")
+			stats.Requests["shed"]++
 		case o.status == http.StatusTooManyRequests:
-			bump("rate_limited")
+			stats.Requests["rate_limited"]++
 		default:
-			bump("failed")
+			stats.Requests["failed"]++
 		}
 	}
 	if stats.Requests["total"] == 0 {
@@ -376,14 +298,6 @@ loop:
 	stats.ShedRate = float64(stats.Requests["shed"]) / float64(stats.Requests["total"])
 	stats.GoodputRPS = float64(stats.Requests["ok"]) / duration.Seconds()
 	stats.GoodputSMPerSec = float64(smDone) / duration.Seconds()
-	for name, ph := range stats.Phases {
-		lat := phaseLat[name]
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		ph.LatencyMS = percentiles(lat)
-		if ph.Seconds > 0 {
-			ph.GoodputRPS = float64(ph.Requests["ok"]) / ph.Seconds
-		}
-	}
 
 	fmt.Printf("fourq-loadgen: %d offered (%0.f rps over %v), %d ok, %d shed (%.1f%%), %d throttled, %d failed\n",
 		stats.Requests["total"], rps, duration,
@@ -392,14 +306,6 @@ loop:
 	fmt.Printf("fourq-loadgen: latency p50=%.2fms p95=%.2fms p99=%.2fms, goodput %.1f req/s (%.1f SM/s)\n",
 		stats.LatencyMS.P50, stats.LatencyMS.P95, stats.LatencyMS.P99,
 		stats.GoodputRPS, stats.GoodputSMPerSec)
-
-	for _, name := range []string{"before", "during", "after"} {
-		if ph := stats.Phases[name]; ph != nil {
-			fmt.Printf("fourq-loadgen: %-6s %5.1fs: %4d ok, %4d shed, %3d throttled, %3d failed, goodput %.1f req/s, p99 %.2fms\n",
-				name, ph.Seconds, ph.Requests["ok"], ph.Requests["shed"],
-				ph.Requests["rate_limited"], ph.Requests["failed"], ph.GoodputRPS, ph.LatencyMS.P99)
-		}
-	}
 
 	if stats.Requests["ok"] == 0 {
 		return fmt.Errorf("no request succeeded")

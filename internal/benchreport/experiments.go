@@ -249,10 +249,12 @@ type SolverRow struct {
 	SolveSeconds   float64 `json:"solve_seconds"`
 }
 
-// HeadToHead is one trace solved by the single-pass list scheduler and
-// by the pinned-seed portfolio: the shared part of the sched and
-// fixedbase experiments.
-type HeadToHead struct {
+// SchedRow is one row of core's program table solved by the
+// single-pass list scheduler and by the pinned-seed portfolio, with its
+// ROM and its differential evidence.
+type SchedRow struct {
+	// Program names the row (core.ProgramID's String).
+	Program      string    `json:"program"`
 	TraceOps     int       `json:"trace_ops"`
 	LowerBound   int       `json:"lower_bound"`
 	Single       SolverRow `json:"single"`
@@ -261,101 +263,95 @@ type HeadToHead struct {
 	Rounds       int       `json:"rounds"`
 	Seed         int64     `json:"seed"`
 	ScheduleHash string    `json:"schedule_hash"`
-	// Deterministic records that a second portfolio solve with identical
-	// options reproduced ScheduleHash.
+	// Deterministic records that a second, independent portfolio solve
+	// with identical options reproduced ScheduleHash.
 	Deterministic bool `json:"deterministic"`
+	ROMWindows    int  `json:"rom_windows"`
+	ROMReads      int  `json:"rom_reads"`
+	// Validated counts the scalars whose compiled-row output matched
+	// curve.ScalarMult bit for bit.
+	Validated int `json:"validated"`
 }
 
-// Check requires RTL-proven utilization evidence on both rows, a
-// portfolio no worse than its own warm start, makespans above the
-// lower bound, and the determinism cross-check passed: a schedule whose
+// Check requires RTL-proven utilization evidence on both solver rows,
+// a portfolio no worse than its own warm start, makespans above the
+// lower bound, the determinism cross-check passed (a schedule whose
 // hash cannot be reproduced from its seed is not a committable
-// baseline.
-func (h *HeadToHead) Check() error {
-	if h.TraceOps <= 0 {
-		return fmt.Errorf("trace_ops = %d, want > 0", h.TraceOps)
+// baseline), ROM reads wherever the row has ROM, and differential
+// evidence.
+func (r *SchedRow) Check() error {
+	if r.TraceOps <= 0 {
+		return fmt.Errorf("trace_ops = %d, want > 0", r.TraceOps)
 	}
-	for _, r := range []struct {
+	for _, s := range []struct {
 		name string
 		row  SolverRow
-	}{{"single", h.Single}, {"portfolio", h.Portfolio}} {
-		if r.row.Makespan <= 0 {
-			return fmt.Errorf("%s.makespan = %d, want > 0", r.name, r.row.Makespan)
+	}{{"single", r.Single}, {"portfolio", r.Portfolio}} {
+		if s.row.Makespan <= 0 {
+			return fmt.Errorf("%s.makespan = %d, want > 0", s.name, s.row.Makespan)
 		}
-		if err := unitInterval(r.name+".mul_utilization", r.row.MulUtilization); err != nil {
+		if err := unitInterval(s.name+".mul_utilization", s.row.MulUtilization); err != nil {
 			return err
 		}
-		if err := unitInterval(r.name+".add_utilization", r.row.AddUtilization); err != nil {
+		if err := unitInterval(s.name+".add_utilization", s.row.AddUtilization); err != nil {
 			return err
 		}
-		if r.row.StallCycles < 0 {
-			return fmt.Errorf("%s.stall_cycles = %d, want >= 0", r.name, r.row.StallCycles)
+		if s.row.StallCycles < 0 {
+			return fmt.Errorf("%s.stall_cycles = %d, want >= 0", s.name, s.row.StallCycles)
 		}
 	}
-	if h.Portfolio.Makespan > h.Single.Makespan {
+	switch {
+	case r.Portfolio.Makespan > r.Single.Makespan:
 		return fmt.Errorf("portfolio makespan %d exceeds single-solver makespan %d (the portfolio must never lose to its own warm start)",
-			h.Portfolio.Makespan, h.Single.Makespan)
-	}
-	if h.LowerBound <= 0 || h.LowerBound > h.Portfolio.Makespan {
+			r.Portfolio.Makespan, r.Single.Makespan)
+	case r.LowerBound <= 0 || r.LowerBound > r.Portfolio.Makespan:
 		return fmt.Errorf("lower_bound = %d, want in (0, %d] (a schedule below the machine-load bound is impossible)",
-			h.LowerBound, h.Portfolio.Makespan)
-	}
-	if h.ScheduleHash == "" {
+			r.LowerBound, r.Portfolio.Makespan)
+	case r.ScheduleHash == "":
 		return fmt.Errorf("schedule_hash missing (the reproducibility handle is part of the result)")
-	}
-	if !h.Deterministic {
+	case !r.Deterministic:
 		return fmt.Errorf("deterministic = false — the rerun did not reproduce the schedule")
+	case r.ROMWindows < 0 || r.ROMWindows > 0 && r.ROMReads <= 0:
+		return fmt.Errorf("rom_reads = %d over %d ROM windows, want > 0 (a row with ROM that reads none rode the wrong program)",
+			r.ROMReads, r.ROMWindows)
+	case r.Validated <= 0:
+		return fmt.Errorf("validated = %d, want > 0 (no differential evidence against curve.ScalarMult)", r.Validated)
 	}
 	return nil
 }
 
-// Sched is the -exp sched entry: the head-to-head on the full
-// functional trace.
+// Sched is the -exp sched entry: one row per program of core's table.
 type Sched struct {
-	HeadToHead
-	ImprovementPct float64 `json:"improvement_pct"`
+	Programs []SchedRow `json:"programs"`
 }
 
-// FixedBase is the -exp fixedbase entry: the head-to-head on the
-// fixed-base comb trace next to the variable-base schedule signing
-// would otherwise ride, with its differential evidence.
-type FixedBase struct {
-	HeadToHead
-	ROMWindows int `json:"rom_windows"`
-	ROMReads   int `json:"rom_reads"`
-	// VariableBaseMakespan is the list-scheduled full variable-base SM.
-	VariableBaseMakespan int `json:"variable_base_makespan"`
-	// Ratio is Portfolio.Makespan / VariableBaseMakespan.
-	Ratio float64 `json:"ratio"`
-	// Validated counts the scalars whose compiled-comb output matched
-	// the library's precomputed-table oracle bit for bit.
-	Validated int `json:"validated"`
-}
-
-// Check adds to the head-to-head: the comb read its ROM, beats the
-// variable-base schedule it displaces (or the request-class routing is
-// pure overhead), reports the ratio its makespans give, and was
-// validated differentially.
-func (f *FixedBase) Check() error {
-	if err := f.HeadToHead.Check(); err != nil {
-		return err
+// Check validates every row and the one rule between rows: the
+// fixed-base comb beats the variable-base list schedule it displaces,
+// or the request-class routing is pure overhead.
+func (s *Sched) Check() error {
+	if len(s.Programs) == 0 {
+		return fmt.Errorf("no programs")
 	}
-	switch {
-	case f.ROMWindows <= 0:
-		return fmt.Errorf("rom_windows = %d, want > 0 (the precomputed table is the experiment)", f.ROMWindows)
-	case f.ROMReads <= 0:
-		return fmt.Errorf("rom_reads = %d, want > 0 (a comb with no ROM reads rode the wrong program)", f.ROMReads)
-	case f.VariableBaseMakespan <= 0:
-		return fmt.Errorf("variable_base_makespan = %d, want > 0 (the comparison is the point)", f.VariableBaseMakespan)
-	case f.Portfolio.Makespan >= f.VariableBaseMakespan:
-		return fmt.Errorf("comb makespan %d does not beat the variable-base schedule %d — the request-class routing is pure overhead",
-			f.Portfolio.Makespan, f.VariableBaseMakespan)
-	case f.Validated <= 0:
-		return fmt.Errorf("validated = %d, want > 0 (no differential evidence against the library table)", f.Validated)
+	rows := map[string]*SchedRow{}
+	for i := range s.Programs {
+		r := &s.Programs[i]
+		if _, dup := rows[r.Program]; dup || r.Program == "" {
+			return fmt.Errorf("programs[%d]: program name %q empty or repeated", i, r.Program)
+		}
+		if err := r.Check(); err != nil {
+			return fmt.Errorf("%s: %w", r.Program, err)
+		}
+		rows[r.Program] = r
 	}
-	want := float64(f.Portfolio.Makespan) / float64(f.VariableBaseMakespan)
-	if d := f.Ratio - want; d > 1e-9 || d < -1e-9 {
-		return fmt.Errorf("ratio = %v, but makespans give %v", f.Ratio, want)
+	if fb, ok := rows["fixedbase"]; ok {
+		vb, ok := rows["variablebase"]
+		if !ok {
+			return fmt.Errorf("fixedbase row without the variablebase row it must beat")
+		}
+		if fb.Portfolio.Makespan >= vb.Single.Makespan {
+			return fmt.Errorf("comb makespan %d does not beat the variable-base list schedule %d — the request-class routing is pure overhead",
+				fb.Portfolio.Makespan, vb.Single.Makespan)
+		}
 	}
 	return nil
 }
@@ -374,10 +370,6 @@ type Serve struct {
 	LatencyMS       Percentiles `json:"latency_ms"`
 	GoodputRPS      float64     `json:"goodput_rps"`
 	GoodputSMPerSec float64     `json:"goodput_sm_per_sec"`
-	// FaultWindow and Phases are set only by a -fault-window run: the
-	// window spec and the before/during/after split.
-	FaultWindow string                 `json:"fault_window,omitempty"`
-	Phases      map[string]*ServePhase `json:"phases,omitempty"`
 }
 
 // Percentiles of successful requests' latency.
@@ -385,14 +377,6 @@ type Percentiles struct {
 	P50 float64 `json:"p50"`
 	P95 float64 `json:"p95"`
 	P99 float64 `json:"p99"`
-}
-
-// ServePhase is one fault-window phase's share of a run.
-type ServePhase struct {
-	Seconds    float64        `json:"seconds"`
-	Requests   map[string]int `json:"requests"`
-	LatencyMS  Percentiles    `json:"latency_ms"`
-	GoodputRPS float64        `json:"goodput_rps"`
 }
 
 // Check requires reconciled tallies with at least one success, and the

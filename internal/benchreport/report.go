@@ -1,12 +1,12 @@
 // Package benchreport is the fourq-bench/v1 report schema, written by
 // every measurement tool (fourq-bench, fourq-loadgen, fourq-chaos) and
-// read by every checker (scripts/benchcheck, scripts/schedsmoke). It
-// holds the envelope, one type per checked experiment with the Check
-// method that validates it (the fault and chaos campaigns keep their
-// report types in internal/fault and internal/chaos), and the rule
-// table that compares reports: exact values against a recorded
-// baseline with zero tolerance, host speed between interleaved runs of
-// a parent and a child build.
+// read by its checker (scripts/benchcheck). It holds the envelope, one
+// type per checked experiment with the Check method that validates it
+// (the fault and chaos campaigns keep their report types in
+// internal/fault and internal/chaos), and the rule table that compares
+// reports: exact values against a recorded baseline with zero
+// tolerance, host speed between interleaved runs of a parent and a
+// child build.
 //
 // Producers fill these types and checkers decode into them, so each
 // report field is declared once. Adding an experiment costs one type
@@ -53,7 +53,6 @@ var experiments = map[string]func() Experiment{
 	"throughput": func() Experiment { return new(Throughput) },
 	"batch":      func() Experiment { return new(Batch) },
 	"sched":      func() Experiment { return new(Sched) },
-	"fixedbase":  func() Experiment { return new(FixedBase) },
 	"serve":      func() Experiment { return new(Serve) },
 	"faults":     func() Experiment { return new(fault.Report) },
 	"chaos":      func() Experiment { return new(chaos.Report) },

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // Kind says how a rule compares a metric.
@@ -23,30 +24,35 @@ const (
 
 // Rule is one row of the comparison table.
 type Rule struct {
-	// Metric is the report path of the compared value.
+	// Metric is the report path of the compared value; a per-program
+	// metric's "[]" stands for the program row.
 	Metric string
 	Kind   Kind
-	// value extracts the metric from a decoded report; ok is false when
+	// values extracts the metric from a decoded report, keyed by
+	// program row ("" for a metric outside the program table); nil when
 	// the report does not carry it.
-	value func(*Report) (v any, ok bool)
+	values func(*Report) map[string]any
+}
+
+// name is the metric's path for row key.
+func (r Rule) name(key string) string {
+	if key == "" {
+		return r.Metric
+	}
+	return strings.Replace(r.Metric, "[]", "["+key+"]", 1)
 }
 
 // Rules is the comparison table.
 var Rules = []Rule{
 	{"latency.cycles_functional", Exact, of(func(l *Latency) any { return l.CyclesFunctional })},
 	{"latency.cycles_endo_modeled", Exact, of(func(l *Latency) any { return l.CyclesEndoModeled })},
-	{"sched.trace_ops", Exact, of(func(s *Sched) any { return s.TraceOps })},
-	{"sched.lower_bound", Exact, of(func(s *Sched) any { return s.LowerBound })},
-	{"sched.single.makespan", Exact, of(func(s *Sched) any { return s.Single.Makespan })},
-	{"sched.portfolio.makespan", Exact, of(func(s *Sched) any { return s.Portfolio.Makespan })},
-	{"sched.schedule_hash", Exact, of(func(s *Sched) any { return s.ScheduleHash })},
-	{"fixedbase.trace_ops", Exact, of(func(f *FixedBase) any { return f.TraceOps })},
-	{"fixedbase.lower_bound", Exact, of(func(f *FixedBase) any { return f.LowerBound })},
-	{"fixedbase.single.makespan", Exact, of(func(f *FixedBase) any { return f.Single.Makespan })},
-	{"fixedbase.portfolio.makespan", Exact, of(func(f *FixedBase) any { return f.Portfolio.Makespan })},
-	{"fixedbase.schedule_hash", Exact, of(func(f *FixedBase) any { return f.ScheduleHash })},
-	{"fixedbase.rom_windows", Exact, of(func(f *FixedBase) any { return f.ROMWindows })},
-	{"fixedbase.rom_reads", Exact, of(func(f *FixedBase) any { return f.ROMReads })},
+	{"sched.programs[].trace_ops", Exact, perProgram(func(r *SchedRow) any { return r.TraceOps })},
+	{"sched.programs[].lower_bound", Exact, perProgram(func(r *SchedRow) any { return r.LowerBound })},
+	{"sched.programs[].single.makespan", Exact, perProgram(func(r *SchedRow) any { return r.Single.Makespan })},
+	{"sched.programs[].portfolio.makespan", Exact, perProgram(func(r *SchedRow) any { return r.Portfolio.Makespan })},
+	{"sched.programs[].schedule_hash", Exact, perProgram(func(r *SchedRow) any { return r.ScheduleHash })},
+	{"sched.programs[].rom_windows", Exact, perProgram(func(r *SchedRow) any { return r.ROMWindows })},
+	{"sched.programs[].rom_reads", Exact, perProgram(func(r *SchedRow) any { return r.ROMReads })},
 
 	{"latency.single_thread.compiled_sm_per_sec", Host, of(func(l *Latency) any { return l.SingleThread.CompiledSMPerSec })},
 	{"throughput.points[].sm_per_sec (peak)", Host, of(func(t *Throughput) any { return t.PeakSMPerSec() })},
@@ -54,38 +60,68 @@ var Rules = []Rule{
 	{"serve.goodput_sm_per_sec", Host, of(func(s *Serve) any { return s.GoodputSMPerSec })},
 }
 
-// of adapts a getter on experiment type T into a Rule's value: a report
-// carries the metric when it carries an experiment of type T.
-func of[T any](get func(*T) any) func(*Report) (any, bool) {
-	return func(r *Report) (any, bool) {
-		for _, e := range r.Experiments {
-			if t, ok := e.(*T); ok {
-				return get(t), true
-			}
+// experiment returns the report's experiment of type T, or nil.
+func experiment[T any](r *Report) *T {
+	for _, e := range r.Experiments {
+		if t, ok := e.(*T); ok {
+			return t
 		}
-		return nil, false
+	}
+	return nil
+}
+
+// of adapts a getter on experiment type T into a Rule's values: a
+// report carries the metric when it carries an experiment of type T.
+func of[T any](get func(*T) any) func(*Report) map[string]any {
+	return func(r *Report) map[string]any {
+		if t := experiment[T](r); t != nil {
+			return map[string]any{"": get(t)}
+		}
+		return nil
 	}
 }
 
-// CompareExact requires every Exact row carried by both base and cur to
-// be equal, and at least one to be shared: a gate that compares nothing
-// must not pass.
+// perProgram adapts a getter on a sched row into a Rule's values, one
+// per program row of the report's sched experiment.
+func perProgram(get func(*SchedRow) any) func(*Report) map[string]any {
+	return func(r *Report) map[string]any {
+		s := experiment[Sched](r)
+		if s == nil {
+			return nil
+		}
+		m := make(map[string]any, len(s.Programs))
+		for i := range s.Programs {
+			m[s.Programs[i].Program] = get(&s.Programs[i])
+		}
+		return m
+	}
+}
+
+// CompareExact requires every Exact value carried by base to be equal
+// in cur, for every program row of base (a row the report lacks
+// fails), and at least one value to be shared: a gate that compares
+// nothing must not pass. An experiment cur does not carry is skipped.
 func CompareExact(w io.Writer, base, cur *Report) error {
 	compared := 0
 	for _, r := range Rules {
 		if r.Kind != Exact {
 			continue
 		}
-		b, okB := r.value(base)
-		c, okC := r.value(cur)
-		if !okB || !okC {
+		b, c := r.values(base), r.values(cur)
+		if b == nil || c == nil {
 			continue
 		}
-		compared++
-		if b != c {
-			return fmt.Errorf("exact: %s = %v, baseline %v (exact values allow no drift)", r.Metric, c, b)
+		for _, key := range sortedKeys(b) {
+			cv, ok := c[key]
+			if !ok {
+				return fmt.Errorf("exact: %s: the report has no %s row (every baseline program must be reproduced)", r.name(key), key)
+			}
+			compared++
+			if b[key] != cv {
+				return fmt.Errorf("exact: %s = %v, baseline %v (exact values allow no drift)", r.name(key), cv, b[key])
+			}
+			fmt.Fprintf(w, "exact: %s = %v\n", r.name(key), cv)
 		}
-		fmt.Fprintf(w, "exact: %s = %v\n", r.Metric, c)
 	}
 	if compared == 0 {
 		return fmt.Errorf("exact: no exact metric shared by the report and the baseline")
@@ -108,10 +144,10 @@ func ComparePaired(w io.Writer, parents, heads []*Report, tol float64) error {
 		}
 		ratios := make([]float64, 0, len(heads))
 		for i := range heads {
-			p, okP := r.value(parents[i])
-			h, okH := r.value(heads[i])
-			if okP && okH && p.(float64) > 0 {
-				ratios = append(ratios, h.(float64)/p.(float64))
+			p, okP := r.values(parents[i])[""].(float64)
+			h, okH := r.values(heads[i])[""].(float64)
+			if okP && okH && p > 0 {
+				ratios = append(ratios, h/p)
 			}
 		}
 		if len(ratios) == 0 {

@@ -59,7 +59,7 @@ type Processor struct {
 	cfg Config
 	// progs holds one built row per entry of the program table (rows
 	// Config did not ask for stay zero: compiled == nil).
-	progs [numPrograms]program
+	progs [NumPrograms]program
 	// execs pools Executors for the Processor-level convenience entry
 	// points; per-worker callers own an Executor instead.
 	execs sync.Pool
@@ -152,7 +152,7 @@ func (p *Processor) phase(id ProgramID, step string, args map[string]any, f func
 func (p *Processor) schedule(id ProgramID) error {
 	var tr *trace.ScalarMultTrace
 	if err := p.phase(id, "trace", nil, func() (err error) {
-		tr, err = programs[id].build(p.cfg.TraceScalar)
+		tr, err = p.Trace(id)
 		return err
 	}); err != nil {
 		return err
@@ -239,7 +239,9 @@ func (p *Processor) CyclesFunctional() int { return p.Program().Makespan }
 
 // CyclesEndoModeled is the paper-comparable cycle count: the scheduled
 // makespan of Algorithm 1 with step 1's endomorphism cost modelled.
-func (p *Processor) CyclesEndoModeled() int { return p.EndoProgram().Makespan + EndoStepCycles }
+func (p *Processor) CyclesEndoModeled() int {
+	return p.progs[ProgramEndo].result.Makespan + EndoStepCycles
+}
 
 // Program returns the functional microprogram.
 func (p *Processor) Program() *isa.Program { return p.ScheduleResult().Program }
@@ -248,11 +250,20 @@ func (p *Processor) Program() *isa.Program { return p.ScheduleResult().Program }
 // microprogram (immutable, safe to share).
 func (p *Processor) Compiled() *rtl.CompiledProgram { return p.progs[ProgramVariableBase].compiled }
 
-// EndoProgram returns the endo-workload microprogram.
-func (p *Processor) EndoProgram() *isa.Program { return p.progs[ProgramEndo].result.Program }
-
 // ScheduleResult returns the functional scheduling result.
 func (p *Processor) ScheduleResult() *sched.Result { return p.progs[ProgramVariableBase].result }
+
+// Row returns program id's schedule and compiled execution plan, both
+// nil when the processor was built without it.
+func (p *Processor) Row(id ProgramID) (*sched.Result, *rtl.CompiledProgram) {
+	return p.progs[id].result, p.progs[id].compiled
+}
+
+// Trace records program id's trace for the processor's trace scalar:
+// the graph its schedule was solved on.
+func (p *Processor) Trace(id ProgramID) (*trace.ScalarMultTrace, error) {
+	return programs[id].build(p.cfg.TraceScalar)
+}
 
 // HasFixedBase reports whether the fixed-base comb program was built
 // (Config.FixedBase).

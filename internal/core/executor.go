@@ -151,7 +151,7 @@ type Executor struct {
 	runs   int
 	cycles int64
 	// lanes[id] is program id's lazily grown lockstep state.
-	lanes [numPrograms]laneState
+	lanes [NumPrograms]laneState
 	// one is the single-lane scratch behind ScalarMultPoint.
 	one struct {
 		k    [1]scalar.Scalar
@@ -252,7 +252,7 @@ func (e *Executor) ScalarMultBatch(prog ProgramID, ks []scalar.Scalar, bases, ou
 	switch {
 	case n == 0:
 		return rtl.Stats{}, fmt.Errorf("core: lane run with no scalars")
-	case prog >= numPrograms:
+	case prog >= NumPrograms:
 		return rtl.Stats{}, fmt.Errorf("core: unknown program %d", prog)
 	case len(outs) != n || len(errs) != n || (bases != nil && len(bases) != n):
 		return rtl.Stats{}, fmt.Errorf("core: lane slice lengths diverge: %d scalars, %d bases, %d outs, %d errs",

@@ -369,7 +369,7 @@ func (p *Processor) ROM() (ROMStats, error) {
 	if err != nil {
 		return ROMStats{}, err
 	}
-	w2, err := p.EndoProgram().ROMImage()
+	w2, err := p.progs[ProgramEndo].result.Program.ROMImage()
 	if err != nil {
 		return ROMStats{}, err
 	}

@@ -202,10 +202,10 @@ type tableCase struct {
 func tableCases(t testing.TB) []tableCase {
 	fb, vb := getFBProcessor(t), getProcessor(t)
 	var cases []tableCase
-	for id := ProgramID(0); id < numPrograms; id++ {
+	for id := ProgramID(0); id < NumPrograms; id++ {
 		cases = append(cases, tableCase{id.String(), fb, id})
 	}
-	for id := ProgramID(0); id < numPrograms; id++ {
+	for id := ProgramID(0); id < NumPrograms; id++ {
 		if vb.progs[id].compiled == nil {
 			cases = append(cases, tableCase{id.String() + "-fallback", vb, id})
 		}
@@ -296,7 +296,7 @@ func TestProgramIDString(t *testing.T) {
 		ProgramVariableBase: "variablebase",
 		ProgramFixedBase:    "fixedbase",
 		ProgramEndo:         "endo",
-		numPrograms:         fmt.Sprintf("program(%d)", numPrograms),
+		NumPrograms:         fmt.Sprintf("program(%d)", NumPrograms),
 		255:                 "program(255)",
 	} {
 		if got := id.String(); got != want {

@@ -30,7 +30,8 @@ const (
 	// workload shape. Its makespan + EndoStepCycles is the
 	// paper-comparable cycle count.
 	ProgramEndo
-	numPrograms
+	// NumPrograms is the number of rows in the program table.
+	NumPrograms
 )
 
 // programSpec is the static description of one microprogram: everything
@@ -59,7 +60,7 @@ type programSpec struct {
 	enabled func(cfg Config) bool
 }
 
-var programs = [numPrograms]programSpec{
+var programs = [NumPrograms]programSpec{
 	ProgramVariableBase: {
 		name:  "variablebase",
 		phase: "functional",
@@ -118,7 +119,7 @@ func multiBase(base curve.Affine) [4]curve.Affine {
 
 // String names the program as used in logs, reports and metric names.
 func (id ProgramID) String() string {
-	if id < numPrograms {
+	if id < NumPrograms {
 		return programs[id].name
 	}
 	return fmt.Sprintf("program(%d)", uint8(id))
@@ -127,7 +128,7 @@ func (id ProgramID) String() string {
 // Base is the point program id multiplies when handed base: G for a
 // program with its base baked in (the comb), base otherwise.
 func (id ProgramID) Base(base curve.Affine) curve.Affine {
-	if id < numPrograms && programs[id].inputs == nil {
+	if id < NumPrograms && programs[id].inputs == nil {
 		return curve.GeneratorAffine()
 	}
 	return base

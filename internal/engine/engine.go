@@ -616,7 +616,7 @@ func (e *Engine) ScalarMultAffine(ctx context.Context, k scalar.Scalar, base cur
 
 // ScalarMultFixedBase submits [k]G as a fixed-base-class request, riding
 // the comb microprogram when the processor carries it. It is the
-// schnorrq.FixedBaseScalarMulter backend: signing's commitment
+// schnorrq.ScalarMulter fixed-base path: signing's commitment
 // multiplication takes its cheapest schedule while verification stays
 // on the variable-base program.
 func (e *Engine) ScalarMultFixedBase(ctx context.Context, k scalar.Scalar) (curve.Affine, error) {

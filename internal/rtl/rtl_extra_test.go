@@ -71,9 +71,9 @@ func TestRunRejectsUnvalidatableProgram(t *testing.T) {
 	}
 }
 
-// TestEndoProgramTableIndexing exercises runtime indexing across every
+// TestDblAddTableIndexing exercises runtime indexing across every
 // digit value: scalars engineered so specific (sign, index) pairs occur.
-func TestEndoProgramTableIndexing(t *testing.T) {
+func TestDblAddTableIndexing(t *testing.T) {
 	prog, acc, table, _ := dblAddSetup(t, 24, sched.MethodList)
 	// Sweep all 8 table indices at digit 0 with both signs by crafting
 	// decompositions directly.

@@ -14,36 +14,25 @@ import (
 // functional model, so signatures can be produced and checked on the
 // modeled accelerator (or any other offload path).
 type ScalarMulter interface {
+	// ScalarMultAffine computes [k]base.
 	ScalarMultAffine(ctx context.Context, k scalar.Scalar, base curve.Affine) (curve.Affine, error)
-}
-
-// FixedBaseScalarMulter is the optional fast path of a ScalarMulter: a
-// backend that can compute generator multiplications [k]G on a cheaper
-// dedicated schedule (internal/engine routes them to the fixed-base
-// comb microprogram). SignWith type-asserts for it, so the commitment
-// multiplication — the only curve operation in signing — automatically
-// rides the cheap schedule when the backend offers one; verification's
-// [h]A is genuinely variable-base and stays on ScalarMultAffine.
-type FixedBaseScalarMulter interface {
+	// ScalarMultFixedBase computes [k]G, on a cheaper dedicated
+	// schedule where the backend has one (internal/engine routes it to
+	// the fixed-base comb microprogram). Signing's commitment, its only
+	// curve operation, takes it; verification's [h]A is genuinely
+	// variable-base and stays on ScalarMultAffine.
 	ScalarMultFixedBase(ctx context.Context, k scalar.Scalar) (curve.Affine, error)
 }
 
 // SignWith produces the same deterministic signature as Sign, computing
-// the commitment R = [r]G on the backend (on its fixed-base path when
-// it implements FixedBaseScalarMulter).
+// the commitment R = [r]G on the backend's fixed-base path.
 func (k *PrivateKey) SignWith(ctx context.Context, sm ScalarMulter, msg []byte) ([SignatureSize]byte, error) {
 	var sig [SignatureSize]byte
 	r := hashToScalar(k.prefix[:], msg)
 	if r.IsZero() {
 		r = scalar.FromUint64(1) // mirror Sign's degenerate-nonce fallback
 	}
-	var Ra curve.Affine
-	var err error
-	if fb, ok := sm.(FixedBaseScalarMulter); ok {
-		Ra, err = fb.ScalarMultFixedBase(ctx, r)
-	} else {
-		Ra, err = sm.ScalarMultAffine(ctx, r, curve.GeneratorAffine())
-	}
+	Ra, err := sm.ScalarMultFixedBase(ctx, r)
 	if err != nil {
 		return sig, err
 	}
@@ -91,8 +80,8 @@ func VerifyWith(ctx context.Context, sm ScalarMulter, pub *PublicKey, msg, sig [
 }
 
 // FuncScalarMulter adapts the pure functional curve model to the
-// ScalarMulter and FixedBaseScalarMulter interfaces — the software
-// fallback and the differential reference for engine-backed signing.
+// ScalarMulter interface — the software fallback and the differential
+// reference for engine-backed signing.
 type FuncScalarMulter struct{}
 
 // ScalarMultFixedBase computes [k]G in software on the constant-time

@@ -10,30 +10,19 @@ import (
 )
 
 // TestSignWithMatchesSign pins the backend-routed signing path to the
-// plain software path: same key, same message, byte-identical signature,
-// both through a backend's fixed-base method and through a backend that
-// only offers ScalarMultAffine (SignWith's [r]G-on-the-generator branch).
+// plain software path: same key, same message, byte-identical signature.
 func TestSignWithMatchesSign(t *testing.T) {
 	k, err := GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("engine-routed signing must be bit-compatible")
-	want := k.Sign(msg)
-	for name, sm := range map[string]ScalarMulter{
-		"fixed-base":    FuncScalarMulter{},
-		"variable-only": struct{ ScalarMulter }{FuncScalarMulter{}},
-	} {
-		if _, ok := sm.(FixedBaseScalarMulter); ok != (name == "fixed-base") {
-			t.Fatalf("%s: FixedBaseScalarMulter = %v", name, ok)
-		}
-		got, err := k.SignWith(context.Background(), sm, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%s: SignWith = %x, Sign = %x", name, got[:16], want[:16])
-		}
+	got, err := k.SignWith(context.Background(), FuncScalarMulter{}, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := k.Sign(msg); got != want {
+		t.Fatalf("SignWith = %x, Sign = %x", got[:16], want[:16])
 	}
 }
 
@@ -53,10 +42,10 @@ func (s *spyScalarMulter) ScalarMultFixedBase(_ context.Context, k scalar.Scalar
 	return curve.ScalarMult(k, curve.Generator()).Affine(), nil
 }
 
-// TestSignWithRoutesFixedBase pins the request-class split: a backend
-// offering FixedBaseScalarMulter gets signing's [r]G on the fixed-base
-// method (bit-compatible signature), while verification keeps [s]G and
-// [h]A on the variable-base method.
+// TestSignWithRoutesFixedBase pins the request-class split: the
+// backend gets signing's [r]G on its fixed-base method (bit-compatible
+// signature), while verification keeps [s]G and [h]A on the
+// variable-base method.
 func TestSignWithRoutesFixedBase(t *testing.T) {
 	ctx := context.Background()
 	k, err := NewKeyFromSeed([32]byte{9, 9, 9})

@@ -338,7 +338,7 @@ func New(opts Options) (*Server, error) {
 	// The front door hosts signing, so the shared processor always
 	// carries the fixed-base comb program alongside the variable-base
 	// one: SignWith routes each commitment multiplication [r]G through
-	// engine.ScalarMultFixedBase (schnorrq.FixedBaseScalarMulter), and
+	// engine.ScalarMultFixedBase (schnorrq.ScalarMulter), and
 	// the engines keep lane batches homogeneous per program. Verify
 	// traffic stays on the variable-base program.
 	opts.Config.FixedBase = true

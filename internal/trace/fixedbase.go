@@ -56,14 +56,7 @@ func (b *smBuilder) addROM(p pointVals, window int, tag string) pointVals {
 // it consumes is constants and ROM — so one compiled instance serves
 // every scalar.
 func BuildFixedBaseScalarMult(k scalar.Scalar, p curve.Affine) (*ScalarMultTrace, error) {
-	bb := NewBuilder()
-	rec, corrected := scalar.RecodeFixedBase(k)
-	bb.SetScalar(rec, corrected)
-
-	b := &smBuilder{Builder: bb}
-	b.Zero()
-	b.one = b.Const("one", fp2.One())
-	b.Const("two", fp2.FromUint64(2, 0)) // cached-identity Z2 for the correction read
+	b := newSMBuilder(scalar.RecodeFixedBase(k))
 
 	windows := curve.FixedBaseOddMultiples(curve.FromAffine(p), scalar.FixedBaseDigits)
 
@@ -92,38 +85,18 @@ func BuildFixedBaseScalarMult(k scalar.Scalar, p curve.Affine) (*ScalarMultTrace
 	}
 	b.RegisterROM(rom)
 
-	sections := map[string][2]int{}
-	mark := func(name string, from int) {
-		sections[name] = [2]int{from, len(b.g.Ops)}
-	}
-
 	// Comb chain: top window down to window 1 from ROM, window 0 from
 	// the register table. Digit order is irrelevant for correctness (the
 	// terms commute) but walking top-down keeps labels aligned with the
 	// recoding's positional weights.
-	start := len(b.g.Ops)
-	identity := pointVals{X: b.Zero(), Y: b.one, Z: b.one, Ta: b.Zero(), Tb: b.one}
-	acc := b.addROM(identity, scalar.FixedBaseDigits-1, "init")
-	for w := scalar.FixedBaseDigits - 2; w >= 1; w-- {
-		acc = b.addROM(acc, w, fmt.Sprintf("add%d", w))
-	}
-	acc = b.addTable(acc, 0, "add0")
-	mark("mainloop", start)
-
+	var acc pointVals
+	b.section("mainloop", func() {
+		acc = b.addROM(b.identity(), scalar.FixedBaseDigits-1, "init")
+		for w := scalar.FixedBaseDigits - 2; w >= 1; w-- {
+			acc = b.addROM(acc, w, fmt.Sprintf("add%d", w))
+		}
+		acc = b.addTable(acc, 0, "add0")
+	})
 	// Parity correction + normalization, as in the variable-base trace.
-	start = len(b.g.Ops)
-	acc = b.addCorr(acc, "corr")
-	zinv := b.invert(acc.Z, "inv")
-	x := b.Mul(acc.X, zinv, "out.x")
-	y := b.Mul(acc.Y, zinv, "out.y")
-	mark("finalize", start)
-
-	b.Output("x", x)
-	b.Output("y", y)
-
-	g := b.Graph()
-	if err := g.CheckConsistency(); err != nil {
-		return nil, err
-	}
-	return &ScalarMultTrace{Graph: g, XOut: x.ID(), YOut: y.ID(), Sections: sections}, nil
+	return b.finalize(acc)
 }

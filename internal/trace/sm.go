@@ -25,11 +25,38 @@ type cachedVals struct {
 	XpY, YmX, Z2, T2d Val
 }
 
-// smBuilder wraps Builder with the curve constants it needs.
+// smBuilder wraps Builder with the curve constants it needs and the
+// op ranges of the trace's sections.
 type smBuilder struct {
 	*Builder
-	d2  Val // 2d constant
-	one Val
+	d2       Val // 2d constant
+	one      Val
+	sections map[string][2]int
+}
+
+// newSMBuilder starts a scalar-multiplication trace for the recoded
+// scalar: the zero, one and two constants every program shares (two is
+// the cached identity's Z2, read by the parity correction).
+func newSMBuilder(rec scalar.Recoded, corrected bool) *smBuilder {
+	bb := NewBuilder()
+	bb.SetScalar(rec, corrected)
+	b := &smBuilder{Builder: bb, sections: map[string][2]int{}}
+	b.Zero()
+	b.one = b.Const("one", fp2.One())
+	b.Const("two", fp2.FromUint64(2, 0))
+	return b
+}
+
+// section records the ops f emits as the trace section name.
+func (b *smBuilder) section(name string, f func()) {
+	start := len(b.g.Ops)
+	f()
+	b.sections[name] = [2]int{start, len(b.g.Ops)}
+}
+
+// identity is the neutral point the main loops start from.
+func (b *smBuilder) identity() pointVals {
+	return pointVals{X: b.Zero(), Y: b.one, Z: b.one, Ta: b.Zero(), Tb: b.one}
 }
 
 // double records the extended twisted Edwards doubling
@@ -192,87 +219,23 @@ type ScalarMultTrace struct {
 // and scalar k: multibase doublings, table build, recoded main loop,
 // parity correction, and final normalization to affine coordinates.
 func BuildScalarMult(k scalar.Scalar, p curve.Affine) (*ScalarMultTrace, error) {
-	bb := NewBuilder()
-	dec := scalar.Decompose(k)
-	rec := scalar.Recode(dec)
-	bb.SetScalar(rec, dec.Corrected)
-
-	b := &smBuilder{Builder: bb}
-	b.Zero()
-	b.one = b.Const("one", fp2.One())
-	b.Const("two", fp2.FromUint64(2, 0)) // cached-identity Z2 for the correction read
-	b.d2 = b.Const("2d", curve.D2())
-
+	b := newAlgorithm1Builder(k)
 	px := b.Input("P.x", p.X)
 	py := b.Input("P.y", p.Y)
 
-	sections := map[string][2]int{}
-	mark := func(name string, from int) {
-		sections[name] = [2]int{from, len(b.g.Ops)}
-	}
-
 	// Step 1 (substituted): multibase Q_j = [2^64]Q_{j-1} by doubling.
-	base := pointVals{X: px, Y: py, Z: b.one, Ta: px, Tb: py}
-	start := len(b.g.Ops)
 	var bases [4]pointVals
-	bases[0] = base
-	q := base
-	for j := 1; j < 4; j++ {
-		for i := 0; i < 64; i++ {
-			q = b.double(q, fmt.Sprintf("mb%d.%d", j, i))
+	b.section("multibase", func() {
+		bases[0] = pointVals{X: px, Y: py, Z: b.one, Ta: px, Tb: py}
+		q := bases[0]
+		for j := 1; j < 4; j++ {
+			for i := 0; i < 64; i++ {
+				q = b.double(q, fmt.Sprintf("mb%d.%d", j, i))
+			}
+			bases[j] = q
 		}
-		bases[j] = q
-	}
-	mark("multibase", start)
-
-	// Step 2: table build.
-	start = len(b.g.Ops)
-	c1 := b.toCached(bases[1], "cQ1")
-	c2 := b.toCached(bases[2], "cQ2")
-	c3 := b.toCached(bases[3], "cQ3")
-	var pts [8]pointVals
-	pts[0] = bases[0]
-	pts[1] = b.addCached(pts[0], c1, "tb1")
-	pts[2] = b.addCached(pts[0], c2, "tb2")
-	pts[3] = b.addCached(pts[1], c2, "tb3")
-	pts[4] = b.addCached(pts[0], c3, "tb4")
-	pts[5] = b.addCached(pts[1], c3, "tb5")
-	pts[6] = b.addCached(pts[2], c3, "tb6")
-	pts[7] = b.addCached(pts[3], c3, "tb7")
-	var slots [8][4]Val
-	for u := 0; u < 8; u++ {
-		c := b.toCached(pts[u], fmt.Sprintf("T%d", u))
-		slots[u] = [4]Val{c.XpY, c.YmX, c.Z2, c.T2d}
-	}
-	b.RegisterTable(slots)
-	mark("tablebuild", start)
-
-	// Steps 6-10: main loop.
-	start = len(b.g.Ops)
-	identity := pointVals{X: b.Zero(), Y: b.one, Z: b.one, Ta: b.Zero(), Tb: b.one}
-	acc := b.addTable(identity, scalar.Digits-1, "init")
-	for i := scalar.Digits - 2; i >= 0; i-- {
-		acc = b.double(acc, fmt.Sprintf("dbl%d", i))
-		acc = b.addTable(acc, i, fmt.Sprintf("add%d", i))
-	}
-	mark("mainloop", start)
-
-	// Parity correction + normalization.
-	start = len(b.g.Ops)
-	acc = b.addCorr(acc, "corr")
-	zinv := b.invert(acc.Z, "inv")
-	x := b.Mul(acc.X, zinv, "out.x")
-	y := b.Mul(acc.Y, zinv, "out.y")
-	mark("finalize", start)
-
-	b.Output("x", x)
-	b.Output("y", y)
-
-	g := b.Graph()
-	if err := g.CheckConsistency(); err != nil {
-		return nil, err
-	}
-	return &ScalarMultTrace{Graph: g, XOut: x.ID(), YOut: y.ID(), Sections: sections}, nil
+	})
+	return b.algorithm1(bases)
 }
 
 // BuildScalarMultWithBases records the SM trace with the three auxiliary
@@ -282,66 +245,73 @@ func BuildScalarMult(k scalar.Scalar, p curve.Affine) (*ScalarMultTrace, error) 
 // the same points externally; the processor-level cycle count for step 1
 // is modelled separately, see core.EndoStepCycles).
 func BuildScalarMultWithBases(k scalar.Scalar, bases [4]curve.Affine) (*ScalarMultTrace, error) {
-	bb := NewBuilder()
-	dec := scalar.Decompose(k)
-	rec := scalar.Recode(dec)
-	bb.SetScalar(rec, dec.Corrected)
-
-	b := &smBuilder{Builder: bb}
-	b.Zero()
-	b.one = b.Const("one", fp2.One())
-	b.Const("two", fp2.FromUint64(2, 0))
-	b.d2 = b.Const("2d", curve.D2())
-
-	sections := map[string][2]int{}
-	mark := func(name string, from int) {
-		sections[name] = [2]int{from, len(b.g.Ops)}
-	}
-
-	var basePts [4]pointVals
-	for j := 0; j < 4; j++ {
+	b := newAlgorithm1Builder(k)
+	var pts [4]pointVals
+	for j := range pts {
 		x := b.Input(fmt.Sprintf("P%d.x", j), bases[j].X)
 		y := b.Input(fmt.Sprintf("P%d.y", j), bases[j].Y)
-		basePts[j] = pointVals{X: x, Y: y, Z: b.one, Ta: x, Tb: y}
+		pts[j] = pointVals{X: x, Y: y, Z: b.one, Ta: x, Tb: y}
 	}
+	return b.algorithm1(pts)
+}
 
-	start := len(b.g.Ops)
-	c1 := b.toCached(basePts[1], "cQ1")
-	c2 := b.toCached(basePts[2], "cQ2")
-	c3 := b.toCached(basePts[3], "cQ3")
-	var pts [8]pointVals
-	pts[0] = basePts[0]
-	pts[1] = b.addCached(pts[0], c1, "tb1")
-	pts[2] = b.addCached(pts[0], c2, "tb2")
-	pts[3] = b.addCached(pts[1], c2, "tb3")
-	pts[4] = b.addCached(pts[0], c3, "tb4")
-	pts[5] = b.addCached(pts[1], c3, "tb5")
-	pts[6] = b.addCached(pts[2], c3, "tb6")
-	pts[7] = b.addCached(pts[3], c3, "tb7")
-	var slots [8][4]Val
-	for u := 0; u < 8; u++ {
-		c := b.toCached(pts[u], fmt.Sprintf("T%d", u))
-		slots[u] = [4]Val{c.XpY, c.YmX, c.Z2, c.T2d}
-	}
-	b.RegisterTable(slots)
-	mark("tablebuild", start)
+// newAlgorithm1Builder starts an Algorithm 1 trace: k decomposed and
+// recoded, and the 2d constant of the table build.
+func newAlgorithm1Builder(k scalar.Scalar) *smBuilder {
+	dec := scalar.Decompose(k)
+	b := newSMBuilder(scalar.Recode(dec), dec.Corrected)
+	b.d2 = b.Const("2d", curve.D2())
+	return b
+}
 
-	start = len(b.g.Ops)
-	identity := pointVals{X: b.Zero(), Y: b.one, Z: b.one, Ta: b.Zero(), Tb: b.one}
-	acc := b.addTable(identity, scalar.Digits-1, "init")
-	for i := scalar.Digits - 2; i >= 0; i-- {
-		acc = b.double(acc, fmt.Sprintf("dbl%d", i))
-		acc = b.addTable(acc, i, fmt.Sprintf("add%d", i))
-	}
-	mark("mainloop", start)
+// algorithm1 records Algorithm 1 from step 2 on, given step 1's four
+// points: the 8-entry table build, the recoded double-and-add main loop
+// and the finalize section.
+func (b *smBuilder) algorithm1(bases [4]pointVals) (*ScalarMultTrace, error) {
+	// Step 2: table build.
+	b.section("tablebuild", func() {
+		c1 := b.toCached(bases[1], "cQ1")
+		c2 := b.toCached(bases[2], "cQ2")
+		c3 := b.toCached(bases[3], "cQ3")
+		var pts [8]pointVals
+		pts[0] = bases[0]
+		pts[1] = b.addCached(pts[0], c1, "tb1")
+		pts[2] = b.addCached(pts[0], c2, "tb2")
+		pts[3] = b.addCached(pts[1], c2, "tb3")
+		pts[4] = b.addCached(pts[0], c3, "tb4")
+		pts[5] = b.addCached(pts[1], c3, "tb5")
+		pts[6] = b.addCached(pts[2], c3, "tb6")
+		pts[7] = b.addCached(pts[3], c3, "tb7")
+		var slots [8][4]Val
+		for u := 0; u < 8; u++ {
+			c := b.toCached(pts[u], fmt.Sprintf("T%d", u))
+			slots[u] = [4]Val{c.XpY, c.YmX, c.Z2, c.T2d}
+		}
+		b.RegisterTable(slots)
+	})
 
-	start = len(b.g.Ops)
-	acc = b.addCorr(acc, "corr")
-	zinv := b.invert(acc.Z, "inv")
-	x := b.Mul(acc.X, zinv, "out.x")
-	y := b.Mul(acc.Y, zinv, "out.y")
-	mark("finalize", start)
+	// Steps 6-10: main loop.
+	var acc pointVals
+	b.section("mainloop", func() {
+		acc = b.addTable(b.identity(), scalar.Digits-1, "init")
+		for i := scalar.Digits - 2; i >= 0; i-- {
+			acc = b.double(acc, fmt.Sprintf("dbl%d", i))
+			acc = b.addTable(acc, i, fmt.Sprintf("add%d", i))
+		}
+	})
+	return b.finalize(acc)
+}
 
+// finalize records the parity correction and the normalization of acc
+// to the affine outputs x, y, and returns the checked trace.
+func (b *smBuilder) finalize(acc pointVals) (*ScalarMultTrace, error) {
+	var x, y Val
+	b.section("finalize", func() {
+		acc = b.addCorr(acc, "corr")
+		zinv := b.invert(acc.Z, "inv")
+		x = b.Mul(acc.X, zinv, "out.x")
+		y = b.Mul(acc.Y, zinv, "out.y")
+	})
 	b.Output("x", x)
 	b.Output("y", y)
 
@@ -349,7 +319,7 @@ func BuildScalarMultWithBases(k scalar.Scalar, bases [4]curve.Affine) (*ScalarMu
 	if err := g.CheckConsistency(); err != nil {
 		return nil, err
 	}
-	return &ScalarMultTrace{Graph: g, XOut: x.ID(), YOut: y.ID(), Sections: sections}, nil
+	return &ScalarMultTrace{Graph: g, XOut: x.ID(), YOut: y.ID(), Sections: b.sections}, nil
 }
 
 // BuildDblAdd records one standalone double-and-add loop iteration (the

@@ -3,10 +3,11 @@
 #
 #   sh scripts/bench_compare.sh BASELINE TOLERANCE EXACT_JSON
 #
-# Exact rows: one run of the experiments that carry them (latency,
-# sched, fixedbase) on the portfolio schedule, written to EXACT_JSON,
-# must match the recorded BASELINE with zero tolerance: makespans,
-# schedule hashes, cycles/SM, lower bounds, trace op counts, ROM sizes.
+# Exact rows: one run of the experiments that carry them (latency, and
+# sched over every row of core's program table) on the portfolio
+# schedule, written to EXACT_JSON, must match the recorded BASELINE
+# with zero tolerance: makespans, schedule hashes, cycles/SM, lower
+# bounds, trace op counts, ROM sizes.
 #
 # Host rows: fourq-bench is built twice, from the working tree and from
 # the change's parent commit in a temporary git worktree, and the two
@@ -38,7 +39,7 @@ echo "bench-compare: building fourq-bench from the working tree"
 "$GO" build -o "$TMP/fourq-bench-head" ./cmd/fourq-bench
 
 echo "bench-compare: exact rows against $BASELINE"
-"$TMP/fourq-bench-head" -exp latency,sched,fixedbase -sched portfolio -json "$EXACT_JSON" >/dev/null
+"$TMP/fourq-bench-head" -exp latency,sched -sched portfolio -json "$EXACT_JSON" >/dev/null
 "$GO" run ./scripts/benchcheck -baseline "$BASELINE" "$EXACT_JSON"
 
 if [ -n "$(git status --porcelain)" ]; then

@@ -486,26 +486,71 @@ func TestCheckRejects(t *testing.T) {
 	}
 }
 
-// goodSched mirrors a real -exp sched run: the list scheduler's 3940
-// cycles against the portfolio's 3756, both RTL-proven, with the
-// determinism cross-check recorded.
-const goodSched = `{
+// The sched rows mirror a real -exp sched -sched portfolio run: per
+// program row, the list scheduler against the portfolio, both
+// RTL-proven, with the determinism cross-check, the ROM and the
+// differential evidence recorded.
+const (
+	vbRow = `{
+        "program": "variablebase",
+        "trace_ops": 4663,
+        "lower_bound": 3010,
+        "single": {"solver": "list", "makespan": 3940, "mul_utilization": 0.657, "add_utilization": 0.526, "stall_cycles": 291, "solve_seconds": 0.01},
+        "portfolio": {"solver": "portfolio", "makespan": 3756, "mul_utilization": 0.689, "add_utilization": 0.552, "stall_cycles": 351, "solve_seconds": 15.0},
+        "improvements": 6,
+        "rounds": 6,
+        "seed": 1,
+        "schedule_hash": "039059a484ff3833",
+        "deterministic": true,
+        "rom_windows": 0,
+        "rom_reads": 0,
+        "validated": 6
+      }`
+	fbRow = `{
+        "program": "fixedbase",
+        "trace_ops": 1152,
+        "lower_bound": 937,
+        "single": {"solver": "list", "makespan": 1128, "mul_utilization": 0.623, "add_utilization": 0.398, "stall_cycles": 234, "solve_seconds": 0.004},
+        "portfolio": {"solver": "portfolio", "makespan": 1128, "mul_utilization": 0.623, "add_utilization": 0.398, "stall_cycles": 234, "solve_seconds": 3.8},
+        "improvements": 0,
+        "rounds": 6,
+        "seed": 1,
+        "schedule_hash": "82d4417b9c7d29fa",
+        "deterministic": true,
+        "rom_windows": 62,
+        "rom_reads": 248,
+        "validated": 6
+      }`
+	endoRow = `{
+        "program": "endo",
+        "trace_ops": 2167,
+        "lower_bound": 1495,
+        "single": {"solver": "list", "makespan": 1869, "mul_utilization": 0.666, "add_utilization": 0.493, "stall_cycles": 291, "solve_seconds": 0.01},
+        "portfolio": {"solver": "portfolio", "makespan": 1868, "mul_utilization": 0.666, "add_utilization": 0.494, "stall_cycles": 291, "solve_seconds": 7.4},
+        "improvements": 1,
+        "rounds": 6,
+        "seed": 1,
+        "schedule_hash": "df8abfa386b32ad4",
+        "deterministic": true,
+        "rom_windows": 0,
+        "rom_reads": 0,
+        "validated": 6
+      }`
+)
+
+// schedReport is a sched report carrying rows.
+func schedReport(rows ...string) string {
+	return `{
   "schema": "fourq-bench/v1",
   "experiments": {
     "sched": {
-      "trace_ops": 4663,
-      "lower_bound": 3010,
-      "single": {"solver": "list", "makespan": 3940, "mul_utilization": 0.657, "add_utilization": 0.526, "stall_cycles": 291, "solve_seconds": 0.01},
-      "portfolio": {"solver": "portfolio", "makespan": 3756, "mul_utilization": 0.689, "add_utilization": 0.552, "stall_cycles": 351, "solve_seconds": 15.0},
-      "improvement_pct": 4.67,
-      "improvements": 6,
-      "rounds": 6,
-      "seed": 1,
-      "schedule_hash": "039059a484ff3833",
-      "deterministic": true
+      "programs": [` + strings.Join(rows, ", ") + `]
     }
   }
 }`
+}
+
+var goodSched = schedReport(vbRow, fbRow, endoRow)
 
 func TestCheckSchedGood(t *testing.T) {
 	if _, err := check([]byte(goodSched)); err != nil {
@@ -515,8 +560,10 @@ func TestCheckSchedGood(t *testing.T) {
 
 // TestCheckSchedRejects: the sched experiment's non-negotiables — a
 // portfolio that loses to its own warm start, a makespan below the
-// machine-load lower bound, missing utilization evidence, or a failed
-// determinism cross-check must all fail validation.
+// machine-load lower bound, missing utilization evidence, a failed
+// determinism cross-check, a ROM row that reads no ROM, no
+// differential evidence, or a comb that does not beat the
+// variable-base list schedule must all fail validation.
 func TestCheckSchedRejects(t *testing.T) {
 	cases := []struct {
 		name, doc, wantErr string
@@ -546,6 +593,15 @@ func TestCheckSchedRejects(t *testing.T) {
 			`"deterministic": true`, `"deterministic": false`, 1), "deterministic"},
 		{"no trace ops", strings.Replace(goodSched,
 			`"trace_ops": 4663,`, `"trace_ops": 0,`, 1), "trace_ops"},
+		{"comb does not beat variable-base", strings.ReplaceAll(goodSched,
+			`"makespan": 1128`, `"makespan": 3940`), "does not beat"},
+		{"ROM row without ROM reads", strings.Replace(goodSched,
+			`"rom_reads": 248`, `"rom_reads": 0`, 1), "rom_reads"},
+		{"no differential evidence", strings.Replace(goodSched,
+			`"validated": 6`, `"validated": 0`, 1), "validated"},
+		{"comb without variable-base row", schedReport(fbRow, endoRow), "without the variablebase row"},
+		{"repeated program", schedReport(vbRow, vbRow), "repeated"},
+		{"no programs", schedReport(), "no programs"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -560,10 +616,11 @@ func TestCheckSchedRejects(t *testing.T) {
 	}
 }
 
-// TestCompareSchedMetric: every exact row must match the baseline with
-// zero tolerance, so a one-cycle drift or a changed hash fails in
-// either direction (a deliberately shorter schedule re-records the
-// baseline).
+// TestCompareSchedMetric: every exact value of every program row must
+// match the baseline with zero tolerance, so a one-cycle drift or a
+// changed hash fails in either direction (a deliberately shorter
+// schedule re-records the baseline), and so does a baseline row the
+// report lacks.
 func TestCompareSchedMetric(t *testing.T) {
 	base := report(t, goodSched)
 	cases := []struct {
@@ -571,13 +628,18 @@ func TestCompareSchedMetric(t *testing.T) {
 	}{
 		{"identical", goodSched, ""},
 		{"portfolio one cycle longer", strings.Replace(goodSched,
-			`"makespan": 3756`, `"makespan": 3757`, 1), "sched.portfolio.makespan"},
+			`"makespan": 3756`, `"makespan": 3757`, 1), "sched.programs[variablebase].portfolio.makespan"},
 		{"portfolio shorter", strings.Replace(goodSched,
-			`"makespan": 3756`, `"makespan": 3700`, 1), "sched.portfolio.makespan"},
+			`"makespan": 3756`, `"makespan": 3700`, 1), "sched.programs[variablebase].portfolio.makespan"},
 		{"changed hash", strings.Replace(goodSched,
-			`"schedule_hash": "039059a484ff3833"`, `"schedule_hash": "039059a484ff3834"`, 1), "sched.schedule_hash"},
+			`"schedule_hash": "039059a484ff3833"`, `"schedule_hash": "039059a484ff3834"`, 1), "sched.programs[variablebase].schedule_hash"},
 		{"lower bound moved", strings.Replace(goodSched,
-			`"lower_bound": 3010`, `"lower_bound": 3011`, 1), "sched.lower_bound"},
+			`"lower_bound": 3010`, `"lower_bound": 3011`, 1), "sched.programs[variablebase].lower_bound"},
+		{"endo one cycle shorter", strings.Replace(goodSched,
+			`"makespan": 1868`, `"makespan": 1867`, 1), "sched.programs[endo].portfolio.makespan"},
+		{"comb hash changed", strings.Replace(goodSched,
+			`"schedule_hash": "82d4417b9c7d29fa"`, `"schedule_hash": "82d4417b9c7d29fb"`, 1), "sched.programs[fixedbase].schedule_hash"},
+		{"baseline row missing", schedReport(vbRow, fbRow), "no endo row"},
 		{"no shared metric", goodThroughput, "no exact metric"},
 	}
 	for _, c := range cases {
